@@ -184,14 +184,6 @@ def check_block_input(x: np.ndarray, cfg: RepMLPConfig) -> None:
             f"{(cfg.in_channels, cfg.height, cfg.width)}")
 
 
-def apply_nonlinearity(v: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(v, v.dtype.type(0))
-    if kind == "identity":
-        return v
-    raise ShapeError(f"unknown nonlinearity {kind!r}")
-
-
 def gp_mlp_add(pmap: np.ndarray, cfg: RepMLPConfig, fc1: FcSpec, fc2: FcSpec,
                bn: BnParams | None) -> np.ndarray:
     """Shared global-path body: pool tiles, optional BN, FC1, nonlinearity,
@@ -201,7 +193,8 @@ def gp_mlp_add(pmap: np.ndarray, cfg: RepMLPConfig, fc1: FcSpec, fc2: FcSpec,
         pooled = batchnorm_inference(pooled, bn)
     v = pooled.reshape(pooled.shape[0], cfg.in_channels)
     v = grouped_fc(v, fc1)
-    v = apply_nonlinearity(v, cfg.gp_nonlinearity)
+    if cfg.gp_nonlinearity == "relu":
+        v = np.maximum(v, v.dtype.type(0))
     v = grouped_fc(v, fc2)
     return pmap + v.reshape(-1, cfg.in_channels, 1, 1)
 
@@ -211,12 +204,12 @@ def global_perceptron(x: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeights) -
 
     When the tile covers the whole image the path is skipped and the output
     is just the partition of x; fc1/fc2/gp_bn are never touched then.
+    The weights are not validated here; forward_train does that once.
     """
     check_block_input(x, cfg)
     pmap = partition(x, cfg.part_h, cfg.part_w)
     if not cfg.has_global_path:
         return pmap
-    check_train_weights(cfg, w)
     return gp_mlp_add(pmap, cfg, w.fc1, w.fc2, w.gp_bn)
 
 

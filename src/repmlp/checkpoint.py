@@ -19,6 +19,8 @@ record carries the block hyper-parameters, the weight form ("train" or
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -59,21 +61,38 @@ def config_record(cfg: RepMLPConfig, form: str, bn_eps: float = 1e-5) -> dict:
     }
 
 
+_INT_FIELDS = ("in_channels", "out_channels", "height", "width", "part_h", "part_w", "groups")
+_RECORD_KEYS = ("form", *_INT_FIELDS, "branch_kernels", "gp_internal_dim", "gp_nonlinearity",
+                "bn_eps")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_from_record(rec: dict) -> RepMLPConfig:
+    """Block config of a record; raises CheckpointError on a bad schema."""
+    if not isinstance(rec, dict):
+        raise CheckpointError(f"config record must be a JSON object, got {type(rec).__name__}")
     if rec.get("record") != "repmlp-block":
         raise CheckpointError(f"not a block checkpoint: record={rec.get('record')!r}")
-    return RepMLPConfig(
-        in_channels=rec["in_channels"],
-        out_channels=rec["out_channels"],
-        height=rec["height"],
-        width=rec["width"],
-        part_h=rec["part_h"],
-        part_w=rec["part_w"],
-        groups=rec["groups"],
-        branch_kernels=tuple(rec["branch_kernels"]),
-        gp_internal_dim=rec["gp_internal_dim"],
-        gp_nonlinearity=rec["gp_nonlinearity"],
-    )
+    missing = [k for k in _RECORD_KEYS if k not in rec]
+    if missing:
+        raise CheckpointError(f"config record missing keys: {', '.join(missing)}")
+    ks, gp, eps = rec["branch_kernels"], rec["gp_internal_dim"], rec["bn_eps"]
+    wrong = [k for k in _INT_FIELDS if not _is_int(rec[k])]
+    if not isinstance(ks, list) or not all(_is_int(k) for k in ks):
+        wrong.append("branch_kernels")
+    if gp is not None and not _is_int(gp):
+        wrong.append("gp_internal_dim")
+    if not isinstance(rec["gp_nonlinearity"], str):
+        wrong.append("gp_nonlinearity")
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+        wrong.append("bn_eps")
+    if wrong:
+        raise CheckpointError(f"config record fields of the wrong type: {', '.join(wrong)}")
+    return RepMLPConfig(**{k: rec[k] for k in _INT_FIELDS}, branch_kernels=tuple(ks),
+                        gp_internal_dim=gp, gp_nonlinearity=rec["gp_nonlinearity"])
 
 
 def _write_tensor(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
@@ -94,15 +113,16 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
     return buf
 
 
-def _read_tensor(fh: BinaryIO) -> tuple[str, np.ndarray]:
+def _read_tensor(fh: BinaryIO, file_size: int) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
     name = _read_exact(fh, name_len).decode("utf-8")
     (rank,) = struct.unpack("<B", _read_exact(fh, 1))
     dims = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank))
-    count = 1
-    for d in dims:
-        count *= d
-    arr = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").reshape(dims)
+    nbytes, left = 4 * math.prod(dims), file_size - fh.tell()
+    if nbytes > left:
+        raise CheckpointError(f"truncated checkpoint: tensor {name!r} of dims {dims} "
+                              f"needs {nbytes} bytes, {left} left")
+    arr = np.frombuffer(_read_exact(fh, nbytes), dtype="<f4").reshape(dims)
     return name, arr.astype(np.float32)
 
 
@@ -121,6 +141,7 @@ def save_checkpoint(path: str, config: dict, tensors: dict[str, np.ndarray]) -> 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint")
         (version,) = struct.unpack("<B", _read_exact(fh, 1))
@@ -131,7 +152,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            name, arr = _read_tensor(fh)
+            name, arr = _read_tensor(fh, file_size)
             if name in tensors:
                 raise CheckpointError(f"duplicate tensor name {name!r}")
             tensors[name] = arr
@@ -174,33 +195,33 @@ def train_weights_to_tensors(w: RepMLPTrainWeights) -> dict[str, np.ndarray]:
         tensors.update(_bn_tensors(f"branch{k}.bn", bn))
     if w.gp_bn is not None:
         tensors.update(_bn_tensors("gp_bn", w.gp_bn))
-    if w.fc1 is not None:
-        tensors["fc1.kernel"] = w.fc1.kernel
-        tensors["fc1.bias"] = w.fc1.bias
-    if w.fc2 is not None:
-        tensors["fc2.kernel"] = w.fc2.kernel
-        tensors["fc2.bias"] = w.fc2.bias
+    tensors.update(_global_fc_tensors(w))
     return tensors
 
 
 def infer_weights_to_tensors(w: RepMLPInferWeights) -> dict[str, np.ndarray]:
-    tensors = {"fc3.kernel": w.fc3.kernel, "fc3.bias": w.fc3.bias}
-    if w.fc1 is not None:
-        tensors["fc1.kernel"] = w.fc1.kernel
-        tensors["fc1.bias"] = w.fc1.bias
-    if w.fc2 is not None:
-        tensors["fc2.kernel"] = w.fc2.kernel
-        tensors["fc2.bias"] = w.fc2.bias
+    return {"fc3.kernel": w.fc3.kernel, "fc3.bias": w.fc3.bias, **_global_fc_tensors(w)}
+
+
+def _global_fc_tensors(w: RepMLPTrainWeights | RepMLPInferWeights) -> dict[str, np.ndarray]:
+    """fc1.* then fc2.* of either weight form; empty without a global path."""
+    tensors = {}
+    for name in ("fc1", "fc2"):
+        fc = getattr(w, name)
+        if fc is not None:
+            tensors[f"{name}.kernel"] = fc.kernel
+            tensors[f"{name}.bias"] = fc.bias
     return tensors
 
 
-def _fc_from(tensors: dict, name: str, in_dim: int, out_dim: int, groups: int,
-             with_bias: bool) -> FcSpec:
-    return FcSpec(
-        kernel=_take(tensors, f"{name}.kernel"),
-        bias=_take(tensors, f"{name}.bias") if with_bias else None,
-        groups=groups, in_dim=in_dim, out_dim=out_dim,
-    )
+def _global_fcs_from(cfg: RepMLPConfig, tensors: dict) -> tuple:
+    """(fc1, fc2) of either weight form; (None, None) without a global path."""
+    if not cfg.has_global_path:
+        return None, None
+    c, d = cfg.in_channels, cfg.gp_hidden
+    return tuple(FcSpec(kernel=_take(tensors, f"{name}.kernel"),
+                        bias=_take(tensors, f"{name}.bias"), groups=1, in_dim=i, out_dim=o)
+                 for name, i, o in (("fc1", c, d), ("fc2", d, c)))
 
 
 def train_weights_from_tensors(cfg: RepMLPConfig, tensors: dict[str, np.ndarray],
@@ -212,11 +233,8 @@ def train_weights_from_tensors(cfg: RepMLPConfig, tensors: dict[str, np.ndarray]
         conv = ConvSpec(kernel=_take(tensors, f"branch{k}.kernel"), bias=None,
                         padding=(k // 2, k // 2), groups=cfg.groups)
         branches.append((conv, _bn_from(tensors, f"branch{k}.bn", eps)))
-    gp_bn = fc1 = fc2 = None
-    if cfg.has_global_path:
-        gp_bn = _bn_from(tensors, "gp_bn", eps)
-        fc1 = _fc_from(tensors, "fc1", cfg.in_channels, cfg.gp_hidden, 1, True)
-        fc2 = _fc_from(tensors, "fc2", cfg.gp_hidden, cfg.in_channels, 1, True)
+    gp_bn = _bn_from(tensors, "gp_bn", eps) if cfg.has_global_path else None
+    fc1, fc2 = _global_fcs_from(cfg, tensors)
     return RepMLPTrainWeights(fc3=fc3, fc3_bn=_bn_from(tensors, "fc3_bn", eps),
                               branches=tuple(branches), gp_bn=gp_bn, fc1=fc1, fc2=fc2)
 
@@ -225,10 +243,7 @@ def infer_weights_from_tensors(cfg: RepMLPConfig,
                                tensors: dict[str, np.ndarray]) -> RepMLPInferWeights:
     fc3 = FcSpec(kernel=_take(tensors, "fc3.kernel"), bias=_take(tensors, "fc3.bias"),
                  groups=cfg.groups, in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim)
-    fc1 = fc2 = None
-    if cfg.has_global_path:
-        fc1 = _fc_from(tensors, "fc1", cfg.in_channels, cfg.gp_hidden, 1, True)
-        fc2 = _fc_from(tensors, "fc2", cfg.gp_hidden, cfg.in_channels, 1, True)
+    fc1, fc2 = _global_fcs_from(cfg, tensors)
     return RepMLPInferWeights(fc3=fc3, fc1=fc1, fc2=fc2)
 
 
@@ -249,8 +264,8 @@ def load_block_checkpoint(path: str):
     """
     config, tensors = load_checkpoint(path)
     cfg = config_from_record(config)
-    form = config.get("form")
-    eps = float(config.get("bn_eps", 1e-5))
+    form = config["form"]
+    eps = float(config["bn_eps"])
     if form == FORM_TRAIN:
         return cfg, form, train_weights_from_tensors(cfg, tensors, eps)
     if form == FORM_INFER:

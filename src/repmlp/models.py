@@ -41,6 +41,7 @@ from .tensor import (
     ConvSpec,
     FcSpec,
     ShapeError,
+    avg_pool_global,
     batchnorm_inference,
     conv2d,
     grouped_fc,
@@ -367,7 +368,7 @@ def _run_layers(layers, weights, x):
             x = grouped_fc(x, w)
         elif kind == "pool":
             if layer.attr("op") == "global_avg":
-                x = x.mean(axis=(2, 3), keepdims=True)
+                x = avg_pool_global(x)
             else:
                 x = _max_pool(x, layer.attr("k"), layer.attr("stride"), layer.attr("pad"))
         elif kind == "relu":

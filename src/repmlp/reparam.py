@@ -72,10 +72,9 @@ def fuse_bn_into_conv(conv: ConvSpec, bn: BnParams) -> ConvSpec:
         raise ShapeError("fuse_bn_into_conv expects a bias-free conv")
     if bn.num_features != conv.out_channels:
         raise ShapeError("bn feature count must equal conv out_channels")
-    scale = bn.gamma / bn.std()
+    scale, shift = bn.affine()
     kernel = conv.kernel * scale.reshape(-1, 1, 1, 1)
-    bias = bn.beta - bn.mean * scale
-    return ConvSpec(kernel=kernel, bias=bias, padding=conv.padding, groups=conv.groups)
+    return ConvSpec(kernel=kernel, bias=shift, padding=conv.padding, groups=conv.groups)
 
 
 def fuse_bn1d_into_fc(fc: FcSpec, bn: BnParams) -> FcSpec:
@@ -84,10 +83,9 @@ def fuse_bn1d_into_fc(fc: FcSpec, bn: BnParams) -> FcSpec:
         raise ShapeError("fuse_bn1d_into_fc expects a bias-free fc")
     if bn.num_features != fc.out_dim:
         raise ShapeError("bn feature count must equal fc out_dim")
-    scale = bn.gamma / bn.std()
+    scale, shift = bn.affine()
     kernel = fc.kernel * scale.reshape(-1, 1)
-    bias = bn.beta - bn.mean * scale
-    return FcSpec(kernel=kernel, bias=bias, groups=fc.groups,
+    return FcSpec(kernel=kernel, bias=shift, groups=fc.groups,
                   in_dim=fc.in_dim, out_dim=fc.out_dim)
 
 
@@ -103,8 +101,7 @@ def absorb_bn_into_fc1(bn: BnParams, fc1: FcSpec) -> FcSpec:
     if fc1.in_dim % bn.num_features:
         raise ShapeError("fc in_dim must be a multiple of bn feature count")
     rep = fc1.in_dim // bn.num_features
-    scale = np.repeat(bn.gamma / bn.std(), rep)
-    shift = np.repeat(bn.beta - bn.mean * (bn.gamma / bn.std()), rep)
+    scale, shift = (np.repeat(a, rep) for a in bn.affine())
     kernel = fc1.kernel * scale.reshape(1, -1)
     extra = fc1.kernel @ shift
     bias = extra if fc1.bias is None else fc1.bias + extra

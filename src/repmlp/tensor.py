@@ -13,7 +13,6 @@ the batch dimension.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +151,11 @@ class BnParams:
         """Effective standard deviation sqrt(var + eps) in the param dtype."""
         return np.sqrt(self.var + self.var.dtype.type(self.eps))
 
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel (scale, shift) with BN(x) = scale * x + shift."""
+        scale = self.gamma / self.std()
+        return scale, self.beta - self.mean * scale
+
 
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Grouped 2-D convolution, stride 1, zero padding.
@@ -220,8 +224,7 @@ def batchnorm_inference(x: np.ndarray, bn: BnParams) -> np.ndarray:
     _same_dtype(x, bn.mean, "batchnorm_inference")
     _require(x.shape[1] == bn.num_features,
              f"batchnorm: input has {x.shape[1]} channels, params have {bn.num_features}")
-    scale = bn.gamma / bn.std()
-    shift = bn.beta - bn.mean * scale
+    scale, shift = bn.affine()
     return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
 
 
@@ -263,23 +266,3 @@ def inverse_partition(pmap: np.ndarray, n: int, height: int, width: int) -> np.n
              f"inverse_partition: {b} tiles cannot form {n} images of {nh}x{nw} tiles")
     t = pmap.reshape(n, nh, nw, c, part_h, part_w).transpose(0, 3, 1, 4, 2, 5)
     return t.reshape(n, c, height, width)
-
-
-def map_batches(op, x: np.ndarray, chunk_size: int, threads: int = 1) -> np.ndarray:
-    """Apply op to batch chunks of x and concatenate, optionally in threads.
-
-    Every kernel in this module is elementwise-independent over the batch
-    axis, so the result is bitwise identical to op(x) regardless of
-    chunk_size or thread count.
-    """
-    _require(chunk_size >= 1, "chunk_size must be >= 1")
-    _require(threads >= 1, "threads must be >= 1")
-    chunks = [x[i:i + chunk_size] for i in range(0, x.shape[0], chunk_size)]
-    if not chunks:
-        return op(x)
-    if threads == 1:
-        parts = [op(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(op, chunks))
-    return np.concatenate(parts, axis=0)

@@ -5,14 +5,13 @@ input from a seed derived from the base seed and the config string, run
 the training-form forward, convert, run the collapsed forward, and record
 the max absolute difference. Reports carry no timings and are rendered in
 grid order, so a (grid, seed, dtype, tolerance) quadruple always produces
-byte-identical text regardless of thread count.
+byte-identical text. Cells run one after another in one thread.
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,11 @@ _PART_MULTIPLIERS = ((1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (2, 3), (3, 2),
 
 
 def thread_count() -> int:
-    """Worker cap from REPMLP_THREADS; defaults to single-threaded."""
+    """The REPMLP_THREADS setting, validated; defaults to 1.
+
+    Nothing in the library reads it: the sweep is single-threaded. It is
+    kept only for benchmark environment records that still report it.
+    """
     raw = os.environ.get("REPMLP_THREADS", "1")
     try:
         n = int(raw)
@@ -137,7 +140,7 @@ class CellResult:
 
 
 def cell_rng(base_seed: int, config_text: str) -> np.random.Generator:
-    """Per-cell stream: stable under grid reordering and thread count."""
+    """Per-cell stream: stable under grid reordering."""
     crc = zlib.crc32(config_text.encode("ascii"))
     return np.random.default_rng(np.random.SeedSequence([base_seed, crc]))
 
@@ -158,7 +161,7 @@ def check_cell(cfg: RepMLPConfig, base_seed: int, dtype, tolerance: float,
 
 
 def run_equivalence(configs, base_seed: int, precision: str, tolerance: float | None = None,
-                    batch: int = 2, threads: int | None = None) -> tuple[str, bool]:
+                    batch: int = 2) -> tuple[str, bool]:
     """Run the grid and render the report. Returns (report text, all ok)."""
     if precision not in DTYPES:
         raise ShapeError(f"unknown precision {precision!r} (choose f32 or f64)")
@@ -166,16 +169,7 @@ def run_equivalence(configs, base_seed: int, precision: str, tolerance: float | 
     tol = DEFAULT_TOLERANCES[precision] if tolerance is None else float(tolerance)
     if tol < 0:
         raise ShapeError("tolerance must be >= 0")
-    workers = thread_count() if threads is None else threads
-
-    def work(cfg):
-        return check_cell(cfg, base_seed, dtype, tol, batch)
-
-    if workers == 1:
-        results = [work(cfg) for cfg in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, configs))  # submission order
+    results = [check_cell(cfg, base_seed, dtype, tol, batch) for cfg in configs]
 
     lines = [f"equivalence precision={precision} tol={tol:.3e} seed={base_seed} "
              f"batch={batch} configs={len(results)}"]

@@ -297,8 +297,15 @@ def test_reports_and_checkpoints_deterministic(tmp_path, capsys):
     out_b = capsys.readouterr().out
     reports_same = code_a == code_b == 0 and out_a == out_b
 
-    threads_same = (run_equivalence(build_grid("quick"), 7, "f32", threads=1)
-                    == run_equivalence(build_grid("quick"), 7, "f32", threads=3))
+    # each cell's result depends on its config and the seed alone: over a
+    # permuted grid, the report holds the same cell lines in permuted order
+    grid = build_grid("quick")
+    order = np.random.default_rng(2024).permutation(len(grid))
+    plain = run_equivalence(grid, 7, "f32")[0].splitlines()
+    permuted = run_equivalence([grid[i] for i in order], 7, "f32")[0].splitlines()
+    order_free = (list(order) != sorted(order)
+                  and permuted[0] == plain[0] and permuted[-1] == plain[-1]
+                  and permuted[1:-1] == [plain[1 + i] for i in order])
 
     cfg = RepMLPConfig(4, 4, 8, 8, 4, 4, groups=2, branch_kernels=(1, 3),
                        gp_internal_dim=4)
@@ -315,9 +322,9 @@ def test_reports_and_checkpoints_deterministic(tmp_path, capsys):
     save_infer_checkpoint(str(fourth), cfg, reloaded)
     infer_same = third.read_bytes() == fourth.read_bytes()
 
-    ok = reports_same and threads_same and train_same and infer_same
+    ok = reports_same and order_free and train_same and infer_same
     _report(ok, "reports_and_checkpoints_deterministic",
             f"two fixed-seed verify runs identical ({len(out_a)} bytes), "
-            f"reports identical across 1 vs 3 worker threads, train and "
+            f"a permuted grid gives the same cell lines in permuted order, train and "
             f"collapsed checkpoints byte-identical after reload "
             f"({first.stat().st_size} and {third.stat().st_size} bytes)")

@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,13 @@ import pytest
 
 import repmlp
 from repmlp.block import forward_train
-from repmlp.checkpoint import load_block_checkpoint
+from repmlp.checkpoint import (
+    CheckpointError,
+    config_record,
+    load_block_checkpoint,
+    save_checkpoint,
+    train_weights_to_tensors,
+)
 from repmlp.cli import main
 from repmlp.reparam import forward_infer
 from repmlp.verify import parse_config
@@ -133,6 +140,51 @@ def test_convert_missing_input_is_io_error(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def _malformed_checkpoint(path, case):
+    cfg = parse_config(CFG_TEXT)
+    rec = config_record(cfg, "train")
+    tensors = train_weights_to_tensors(
+        repmlp.random_train_weights(cfg, np.random.default_rng(3), np.float32))
+    if case == "huge_dims":
+        # one tensor claiming (2**32 - 1)**4 floats, with no payload behind it
+        save_checkpoint(str(path), rec, {})
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<I", 1)
+        raw += struct.pack("<H", 10) + b"fc3.kernel" + struct.pack("<B", 4)
+        raw += struct.pack("<4I", *[2**32 - 1] * 4)
+        path.write_bytes(bytes(raw))
+        return
+    if case == "missing_key":
+        del rec["groups"]
+    elif case == "string_int":
+        rec["groups"] = "2"
+    elif case == "bool_int":
+        rec["in_channels"] = True
+    elif case == "string_kernels":
+        rec["branch_kernels"] = "1-3"
+    elif case == "string_eps":
+        rec["bn_eps"] = "1e-5"
+    elif case == "list_record":
+        rec = [rec]
+    save_checkpoint(str(path), rec, tensors)
+    if case == "truncated_payload":
+        path.write_bytes(path.read_bytes()[:-9])
+
+
+@pytest.mark.parametrize("case", ["missing_key", "string_int", "bool_int", "string_kernels",
+                                  "string_eps", "list_record", "huge_dims",
+                                  "truncated_payload"])
+def test_convert_rejects_malformed_checkpoint(tmp_path, capsys, case):
+    bad = tmp_path / "bad.rmlp"
+    _malformed_checkpoint(bad, case)
+    code, out, err = run_cli(capsys, "convert", str(bad), str(tmp_path / "out.rmlp"))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert not (tmp_path / "out.rmlp").exists()
+    with pytest.raises(CheckpointError):
+        load_block_checkpoint(str(bad))
+
+
 def test_export_fc3_grid_values(tmp_path, capsys):
     ckpt = tmp_path / "t.rmlp"
     run_cli(capsys, "init", "--config", CFG_TEXT, "--out", str(ckpt))
@@ -156,6 +208,12 @@ def test_export_fc3_bounds_checked(tmp_path, capsys):
                  ["--out-channel", "0", "--pixel", "0", "0", "--in-channel", "2"]):
         code, _, err = run_cli(capsys, "export-fc3", str(ckpt), *argv)
         assert code == 2 and "out of range" in err
+
+
+def test_public_api_exports_resolve():
+    assert len(set(repmlp.__all__)) == len(repmlp.__all__)
+    missing = [name for name in repmlp.__all__ if not hasattr(repmlp, name)]
+    assert missing == []
 
 
 def test_missing_subcommand_is_usage_error(capsys):

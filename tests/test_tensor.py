@@ -13,7 +13,6 @@ from repmlp.tensor import (
     conv2d,
     grouped_fc,
     inverse_partition,
-    map_batches,
     partition,
 )
 
@@ -202,15 +201,21 @@ def test_partition_rejects_non_divisible():
         inverse_partition(np.ones((3, 1, 2, 2)), 1, 4, 4)  # 3 tiles, needs 4
 
 
-def test_map_batches_bitwise_against_whole_batch():
+def test_kernels_bitwise_under_batch_split():
+    # a batch split by hand and concatenated must equal the whole batch bit
+    # for bit, for the conv and the grouped FC kernel alike
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(10, 3, 6, 6)).astype(np.float32)
-    spec = ConvSpec(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), None, (1, 1), 1)
-    whole = conv2d(x, spec)
-    for chunk in (1, 3, 4, 10, 16):
-        for threads in (1, 3):
-            got = map_batches(lambda b: conv2d(b, spec), x, chunk, threads)
-            assert np.array_equal(got, whole), (chunk, threads)
+    x = rng.normal(size=(10, 4, 6, 6)).astype(np.float32)
+    conv = ConvSpec(rng.normal(size=(6, 2, 3, 3)).astype(np.float32),
+                    rng.normal(size=6).astype(np.float32), (1, 1), 2)
+    v = x.reshape(10, -1)
+    fc = FcSpec(rng.normal(size=(48, 36)).astype(np.float32),
+                rng.normal(size=48).astype(np.float32), 4, 144, 48)
+    for op, inp in ((lambda b: conv2d(b, conv), x), (lambda b: grouped_fc(b, fc), v)):
+        whole = op(inp)
+        for chunk in (1, 3, 4, 10, 16):
+            parts = [op(inp[i:i + chunk]) for i in range(0, len(inp), chunk)]
+            assert np.array_equal(np.concatenate(parts), whole), chunk
 
 
 def test_kernels_preserve_dtype():
