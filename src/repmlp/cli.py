@@ -169,7 +169,7 @@ def _cmd_export_fc3(args) -> int:
 def _cmd_init(args) -> int:
     cfg = parse_config(args.config)
     rng = cell_rng(args.seed, format_config(cfg))
-    weights = random_train_weights(cfg, rng, DTYPES[args.precision])
+    weights = random_train_weights(cfg, rng)
     save_train_checkpoint(args.output, cfg, weights)
     print(f"wrote training checkpoint {args.output} "
           f"params {block_params(cfg, 'train')}")
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export_fc3)
 
     p = sub.add_parser("init", help="write a seeded random training checkpoint")
-    common(p)
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--config", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.set_defaults(func=_cmd_init)

@@ -3,14 +3,15 @@
 Graphs are flat sequences of LayerSpec records; residual blocks are an
 ``add`` layer whose children are branch sequences applied to the same
 input (an empty branch is the identity shortcut). Builders emit training
-form graphs (bias-free convs followed by BN, blocks in train form);
-convert_graph produces the deployed counterpart (BN folded into conv
-biases, blocks collapsed to their FC form).
+form graphs (each conv record carries its BN: a bias-free conv followed by
+that BN; blocks in train form); convert_graph produces the deployed
+counterpart (BN folded into conv biases, blocks collapsed to their FC form).
 
 Counting conventions: one multiply-accumulate = one FLOP, counted for conv
 and FC kernels only, per image (N = 1); inference BN is counted as fused
-(zero FLOPs, and in deploy form its parameters become conv biases);
-pooling, ReLU, and elementwise adds are free.
+(zero FLOPs; a train-form conv counts its BN's two affine vectors, which
+in deploy form become the conv bias); pooling, ReLU, and elementwise adds
+are free.
 
 The hidden width of the per-tile global-path MLP is a calibration knob:
 published totals for this family pin every other dimension but not that
@@ -28,16 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import (
-    RepMLPConfig,
-    RepMLPTrainWeights,
-    forward_train,
-    random_bn,
-    random_train_weights,
-)
-from .reparam import RepMLPInferWeights, convert_block, forward_infer, fuse_bn_into_conv
+from .block import RepMLPConfig, forward_train, random_bn, random_train_weights
+from .reparam import convert_block, forward_infer, fuse_bn_into_conv
 from .tensor import (
-    BnParams,
     ConvSpec,
     FcSpec,
     ShapeError,
@@ -47,7 +41,7 @@ from .tensor import (
     grouped_fc,
 )
 
-LAYER_KINDS = ("conv", "fc", "bn", "pool", "relu", "flatten", "add",
+LAYER_KINDS = ("conv", "fc", "pool", "relu", "flatten", "add",
                "repmlp_train", "repmlp_infer")
 
 PURE_MLP_GP_WIDTH = 832
@@ -84,17 +78,16 @@ def _layer(kind: str, children: tuple = (), **attrs) -> LayerSpec:
 
 
 def conv_layer(in_ch: int, out_ch: int, k: int, stride: int = 1, pad: int = 0,
-               groups: int = 1, bias: bool = False) -> LayerSpec:
+               groups: int = 1, bn: bool = True) -> LayerSpec:
+    """bn=True is the train form (a bias-free conv followed by its BN);
+    bn=False is the deploy form (a conv with a bias)."""
     return _layer("conv", in_ch=in_ch, out_ch=out_ch, k=k, stride=stride,
-                  pad=pad, groups=groups, bias=bias)
+                  pad=pad, groups=groups, bn=bn)
 
 
-def bn_layer(features: int) -> LayerSpec:
-    return _layer("bn", features=features)
-
-
-def fc_layer(in_dim: int, out_dim: int, bias: bool = True) -> LayerSpec:
-    return _layer("fc", in_dim=in_dim, out_dim=out_dim, bias=bias)
+def fc_layer(in_dim: int, out_dim: int) -> LayerSpec:
+    """A dense FC with a bias."""
+    return _layer("fc", in_dim=in_dim, out_dim=out_dim)
 
 
 def pool_layer(op: str, k: int = 1, stride: int = 1, pad: int = 0) -> LayerSpec:
@@ -181,18 +174,14 @@ def _analyze(layers, shape) -> tuple[int, int, tuple]:
             k, s, p, g = (layer.attr(n) for n in ("k", "stride", "pad", "groups"))
             ho, wo = _pool_out(h, k, s, p), _pool_out(w, k, s, p)
             weights = out_ch * (in_ch // g) * k * k
-            params += weights + (out_ch if layer.attr("bias") else 0)
+            params += weights + out_ch * (2 if layer.attr("bn") else 1)
             flops += weights * ho * wo
             shape = ("map", out_ch, ho, wo)
-        elif kind == "bn":
-            if shape[0] != "map" or shape[1] != layer.attr("features"):
-                raise ShapeError("bn feature mismatch")
-            params += 2 * layer.attr("features")
         elif kind == "fc":
             in_dim, out_dim = layer.attr("in_dim"), layer.attr("out_dim")
             if shape != ("vec", in_dim):
                 raise ShapeError(f"fc expects flat {in_dim}, got {shape}")
-            params += in_dim * out_dim + (out_dim if layer.attr("bias") else 0)
+            params += in_dim * out_dim + out_dim
             flops += in_dim * out_dim
             shape = ("vec", out_dim)
         elif kind == "pool":
@@ -252,27 +241,15 @@ def output_shape(model: Model) -> tuple:
 
 def _convert_layers(layers: tuple) -> tuple:
     out = []
-    i = 0
-    while i < len(layers):
-        layer = layers[i]
+    for layer in layers:
         if layer.kind == "conv":
-            nxt = layers[i + 1] if i + 1 < len(layers) else None
-            if nxt is None or nxt.kind != "bn":
-                raise ShapeError("train-form conv must be followed by bn")
-            out.append(conv_layer(layer.attr("in_ch"), layer.attr("out_ch"), layer.attr("k"),
-                                  layer.attr("stride"), layer.attr("pad"), layer.attr("groups"),
-                                  bias=True))
-            i += 2
-            continue
-        if layer.kind == "bn":
-            raise ShapeError("bn without a preceding conv cannot be folded")
-        if layer.kind == "repmlp_train":
+            out.append(_layer("conv", **dict(layer.attrs, bn=False)))
+        elif layer.kind == "repmlp_train":
             out.append(repmlp_layer(layer.attr("cfg"), "infer"))
         elif layer.kind == "add":
             out.append(add_layer(*(_convert_layers(b) for b in layer.children)))
         else:
             out.append(layer)
-        i += 1
     return tuple(out)
 
 
@@ -286,17 +263,15 @@ def _init_layers(layers, rng, dtype):
     weights = []
     for layer in layers:
         if layer.kind == "conv":
-            g = layer.attr("groups")
-            shape = (layer.attr("out_ch"), layer.attr("in_ch") // g, layer.attr("k"), layer.attr("k"))
-            bias = (rng.uniform(-0.5, 0.5, layer.attr("out_ch")).astype(dtype)
-                    if layer.attr("bias") else None)
-            weights.append(ConvSpec(rng.uniform(-0.5, 0.5, shape).astype(dtype), bias,
-                                    (layer.attr("pad"), layer.attr("pad")), g))
-        elif layer.kind == "bn":
-            weights.append(random_bn(rng, layer.attr("features"), dtype))
+            g, out_ch, bn = layer.attr("groups"), layer.attr("out_ch"), layer.attr("bn")
+            shape = (out_ch, layer.attr("in_ch") // g, layer.attr("k"), layer.attr("k"))
+            bias = None if bn else rng.uniform(-0.5, 0.5, out_ch).astype(dtype)
+            conv = ConvSpec(rng.uniform(-0.5, 0.5, shape).astype(dtype), bias,
+                            (layer.attr("pad"), layer.attr("pad")), g)
+            weights.append((conv, random_bn(rng, out_ch, dtype)) if bn else conv)
         elif layer.kind == "fc":
             d_in, d_out = layer.attr("in_dim"), layer.attr("out_dim")
-            bias = rng.uniform(-0.5, 0.5, d_out).astype(dtype) if layer.attr("bias") else None
+            bias = rng.uniform(-0.5, 0.5, d_out).astype(dtype)
             weights.append(FcSpec(rng.uniform(-0.5, 0.5, (d_out, d_in)).astype(dtype),
                                   bias, 1, d_in, d_out))
         elif layer.kind == "repmlp_train":
@@ -317,21 +292,15 @@ def init_model_weights(model: Model, rng: np.random.Generator, dtype=np.float32)
 
 def _convert_weights(layers, weights):
     out = []
-    i = 0
-    while i < len(layers):
-        layer = layers[i]
-        if layer.kind == "conv":
-            out.append(fuse_bn_into_conv(weights[i], weights[i + 1]))
-            i += 2
-            continue
-        if layer.kind == "repmlp_train":
-            out.append(convert_block(layer.attr("cfg"), weights[i]))
+    for layer, w in zip(layers, weights):
+        if layer.kind == "conv" and layer.attr("bn"):
+            out.append(fuse_bn_into_conv(*w))
+        elif layer.kind == "repmlp_train":
+            out.append(convert_block(layer.attr("cfg"), w))
         elif layer.kind == "add":
-            out.append(tuple(_convert_weights(b, bw)
-                             for b, bw in zip(layer.children, weights[i])))
+            out.append(tuple(_convert_weights(b, bw) for b, bw in zip(layer.children, w)))
         else:
-            out.append(weights[i])
-        i += 1
+            out.append(w)
     return out
 
 
@@ -359,11 +328,13 @@ def _run_layers(layers, weights, x):
     for layer, w in zip(layers, weights):
         kind = layer.kind
         if kind == "conv":
-            y = conv2d(x, w)
+            conv, bn = w if layer.attr("bn") else (w, None)
+            x = conv2d(x, conv)
             s = layer.attr("stride")
-            x = y if s == 1 else y[:, :, ::s, ::s]
-        elif kind == "bn":
-            x = batchnorm_inference(x, w)
+            if s != 1:
+                x = x[:, :, ::s, ::s]
+            if bn is not None:
+                x = batchnorm_inference(x, bn)
         elif kind == "fc":
             x = grouped_fc(x, w)
         elif kind == "pool":
@@ -432,21 +403,17 @@ def format_graph(model: Model) -> str:
 
 
 def _conv_bn_relu(in_ch, out_ch, k, stride=1, pad=0, relu=True):
-    layers = [conv_layer(in_ch, out_ch, k, stride, pad), bn_layer(out_ch)]
-    if relu:
-        layers.append(RELU)
-    return layers
+    return [conv_layer(in_ch, out_ch, k, stride, pad)] + ([RELU] if relu else [])
 
 
-def _cifar_block_cfg(channels: int, res: int, gp_width: int) -> RepMLPConfig:
+def _cifar_block_cfg(channels: int, res: int) -> RepMLPConfig:
     return RepMLPConfig(
         in_channels=channels, out_channels=channels, height=res, width=res,
         part_h=8, part_w=8, groups=2, branch_kernels=(1, 3, 5, 7),
-        gp_internal_dim=gp_width)
+        gp_internal_dim=PURE_MLP_GP_WIDTH)
 
 
-def build_pure_mlp_cifar(input_res: int = 32, num_classes: int = 10,
-                         gp_width: int = PURE_MLP_GP_WIDTH) -> Model:
+def build_pure_mlp_cifar(input_res: int = 32, num_classes: int = 10) -> Model:
     """All-FC CIFAR classifier: three stages of blocks interleaved with 1x1
     FC projections, max-pool downsampling, 8x8 tiles, 2 FC groups."""
     if input_res != 32:
@@ -456,7 +423,7 @@ def build_pure_mlp_cifar(input_res: int = 32, num_classes: int = 10,
     layers += _conv_bn_relu(3, chans[0], 1)
     res = input_res
     for si, c in enumerate(chans):
-        cfg = _cifar_block_cfg(c, res, gp_width)
+        cfg = _cifar_block_cfg(c, res)
         layers += [repmlp_layer(cfg), RELU]
         layers += _conv_bn_relu(c, c, 1)
         layers += [repmlp_layer(cfg), RELU]
@@ -639,16 +606,3 @@ def build_named_model(name: str, input_res: int) -> Model:
         raise ShapeError(f"unknown model {name!r}; known models: {known}")
     return MODEL_BUILDERS[name](input_res=input_res)
 
-
-def gp_width_sweep(build_fn, widths, params_target: int, flops_target: int) -> list[dict]:
-    """Calibration helper: deploy-form param/FLOP deviation per candidate width."""
-    rows = []
-    for width in widths:
-        deploy = convert_graph(build_fn(width))
-        p, f = count_params(deploy), count_flops(deploy)
-        rows.append({
-            "width": width, "params": p, "flops": f,
-            "params_dev": (p - params_target) / params_target,
-            "flops_dev": (f - flops_target) / flops_target,
-        })
-    return rows

@@ -154,14 +154,6 @@ def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> Fc
                   out_dim=o * part_h * part_w)
 
 
-def _add_bias(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
-
-
 def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeights:
     """Fold every branch and every BN of a trained block into three FCs.
 
@@ -176,9 +168,7 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
         branch_fc = conv_to_fc(fuse_bn_into_conv(conv, bn),
                                cfg.in_channels, cfg.part_h, cfg.part_w)
         kernel = kernel + branch_fc.kernel
-        bias = _add_bias(bias, branch_fc.bias)
-    if bias is None:
-        bias = np.zeros(cfg.fc_out_dim, dtype=kernel.dtype)
+        bias = bias + branch_fc.bias
     fc3 = FcSpec(kernel=kernel, bias=bias, groups=cfg.groups,
                  in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim)
     fc1 = fc2 = None

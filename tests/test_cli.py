@@ -185,6 +185,48 @@ def test_convert_rejects_malformed_checkpoint(tmp_path, capsys, case):
         load_block_checkpoint(str(bad))
 
 
+FUZZ_CFG_TEXT = "C=2,O=2,H=4,W=4,h=2,w=2,g=1,ks=1"
+
+
+def _checkpoint_mutations(raw: bytes):
+    """Every truncation of raw, then one bit flip per byte (bit i % 8 of byte i)."""
+    for n in range(len(raw)):
+        yield f"truncated to {n} bytes", raw[:n]
+    for i in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[i] ^= 1 << (i % 8)
+        yield f"byte {i} bit {i % 8} flipped", bytes(flipped)
+
+
+def test_convert_fuzzed_checkpoint_exits_cleanly(tmp_path, capsys):
+    good, bad, out = tmp_path / "good.rmlp", tmp_path / "bad.rmlp", tmp_path / "out.rmlp"
+    assert main(["init", "--config", FUZZ_CFG_TEXT, "--seed", "3", "--out", str(good)]) == 0
+    capsys.readouterr()
+    for label, data in _checkpoint_mutations(good.read_bytes()):
+        bad.write_bytes(data)
+        out.unlink(missing_ok=True)
+        try:
+            code = main(["convert", str(bad), str(out)])
+        except Exception as exc:  # any escape fails; name the mutation that caused it
+            raise AssertionError(f"{label}: exception escaped cli.main") from exc
+        _, err = capsys.readouterr()
+        if code == 0:
+            load_block_checkpoint(str(out))
+        else:
+            assert code == 2, (label, code, err)
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), (label, err)
+
+
+def test_init_rejects_precision_and_batch(tmp_path, capsys):
+    out = tmp_path / "t.rmlp"
+    for option in (["--precision", "f64"], ["--batch", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["init", "--config", CFG_TEXT, "--out", str(out), *option])
+        assert exc.value.code == 2
+        assert not out.exists()
+    capsys.readouterr()
+
+
 def test_export_fc3_grid_values(tmp_path, capsys):
     ckpt = tmp_path / "t.rmlp"
     run_cli(capsys, "init", "--config", CFG_TEXT, "--out", str(ckpt))

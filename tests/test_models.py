@@ -9,7 +9,6 @@ from repmlp.models import (
     Model,
     block_flops,
     block_params,
-    bn_layer,
     build_named_model,
     build_pure_mlp_cifar,
     build_resnet50,
@@ -21,7 +20,6 @@ from repmlp.models import (
     count_params,
     fc_layer,
     format_graph,
-    gp_width_sweep,
     init_model_weights,
     output_shape,
     pool_layer,
@@ -48,7 +46,7 @@ def test_block_accounting_frozen_oracle():
 
 def test_block_accounting_closed_forms():
     # single dense FC P -> Q and a lone KxK conv, the two textbook cases
-    layers = (conv_layer(3, 8, 3, pad=1), bn_layer(8))
+    layers = (conv_layer(3, 8, 3, pad=1),)
     m = Model("conv-only", (3, 10, 10), layers)
     assert count_params(m) == 8 * 3 * 9 + 16
     assert count_flops(m) == 8 * 3 * 9 * 100
@@ -90,12 +88,11 @@ def test_resnet50_structure():
     assert kinds[0] == "conv" and model.layers[0].attr("k") == 7
     assert kinds.count("add") == 16          # 3 + 4 + 6 + 3 bottlenecks
     assert output_shape(model) == ("vec", 1000)
-    # every conv in the train graph is bias-free and followed by bn
+    # every conv in the train graph is bias-free and carries its bn
     def walk(layers):
-        for i, layer in enumerate(layers):
+        for layer in layers:
             if layer.kind == "conv":
-                assert layer.attr("bias") is False
-                assert layers[i + 1].kind == "bn"
+                assert layer.attr("bn") is True
             for branch in layer.children:
                 walk(branch)
     walk(model.layers)
@@ -141,14 +138,12 @@ def test_convert_graph_deploy_form():
     deploy = convert_graph(model)
     def walk(layers):
         for layer in layers:
-            assert layer.kind not in ("bn", "repmlp_train")
+            assert layer.kind != "repmlp_train"
             if layer.kind == "conv":
-                assert layer.attr("bias") is True
+                assert layer.attr("bn") is False
             for branch in layer.children:
                 walk(branch)
     walk(deploy.layers)
-    with pytest.raises(ShapeError):          # bare bn has no conv to fold into
-        convert_graph(Model("bad", (2, 4, 4), (bn_layer(2),)))
 
 
 def test_forward_matches_after_graph_conversion():
@@ -197,7 +192,7 @@ def test_max_pool_matches_manual_windows():
 
 
 def test_counting_rejects_mismatched_graphs():
-    bad = Model("bad", (3, 8, 8), (conv_layer(4, 4, 1), bn_layer(4)))
+    bad = Model("bad", (3, 8, 8), (conv_layer(4, 4, 1),))
     with pytest.raises(ShapeError):
         count_params(bad)
     bad2 = Model("bad2", (3, 8, 8), (fc_layer(10, 2),))
@@ -239,17 +234,6 @@ def test_format_graph_records():
     assert "add branches=2" in resnet_text
     assert "branch 1: identity" in resnet_text
     assert format_graph(build_pure_mlp_cifar()) == text  # stable
-
-
-def test_gp_width_sweep_monotone():
-    rows = gp_width_sweep(lambda w: build_pure_mlp_cifar(gp_width=w),
-                          (256, 832, 1024), 22_410_000, 52_800_000)
-    assert [r["width"] for r in rows] == [256, 832, 1024]
-    params = [r["params"] for r in rows]
-    assert params[0] < params[1] < params[2]
-    chosen = rows[1]
-    assert abs(chosen["params_dev"]) <= 0.01
-    assert abs(chosen["flops_dev"]) <= 0.02
 
 
 def test_pool_layer_validation():

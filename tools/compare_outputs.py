@@ -9,7 +9,9 @@ child process per tree). Compared artefacts, all from fixed seeds:
 * train-form and deploy-form `run_model` outputs of pure-mlp-cifar at
   batch 4 and repmlp-res50 at batch 1 (saved as .npy);
 * `repmlp init` and `repmlp convert` checkpoints for two block configs,
-  one of them with an identity global-path nonlinearity.
+  one of them with an identity global-path nonlinearity;
+* `repmlp count` output for every model in MODEL_BUILDERS, at its default
+  resolution.
 
 Prints one sha256 line per artefact and tree; exits 1 if any differ.
 A full run takes about 25 s per tree on a 2-vCPU machine.
@@ -44,6 +46,8 @@ def write_artefacts(out: str) -> None:
             train = os.path.join(out, f"init{i}.rmlp")
             cli.main(["init", "--config", cfg, "--out", train, "--seed", "5"])
             cli.main(["convert", train, os.path.join(out, f"convert{i}.rmlp")])
+        for name in models.MODEL_BUILDERS:
+            cli.main(["count", name, "--out", os.path.join(out, f"count_{name}.txt")])
     for name, res, batch in (("pure-mlp-cifar", 32, 4), ("repmlp-res50", 224, 1)):
         model = models.build_named_model(name, res)
         rng = np.random.default_rng(1234)
