@@ -11,6 +11,7 @@ command except bench prints byte-identical output for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block import forward_train, random_train_weights
+from .block import forward_train
 from .checkpoint import (
     FORM_TRAIN,
     CheckpointError,
@@ -39,7 +40,7 @@ from .tensor import ShapeError
 from .verify import (
     DTYPES,
     build_grid,
-    cell_rng,
+    draw_cell,
     format_config,
     parse_config,
     run_equivalence,
@@ -98,12 +99,8 @@ def _cmd_bench(args) -> int:
         raise ShapeError("repeats must be >= 1")
     if args.repeats == 1:
         print("warning: repeats=1 gives no variance estimate", file=sys.stderr)
-    dtype = DTYPES[args.precision]
-    rng = cell_rng(args.seed, format_config(cfg))
-    weights = random_train_weights(cfg, rng, dtype)
+    weights, x = draw_cell(cfg, args.seed, DTYPES[args.precision], args.batch)
     collapsed = convert_block(cfg, weights)
-    x = rng.uniform(-1.0, 1.0,
-                    (args.batch, cfg.in_channels, cfg.height, cfg.width)).astype(dtype)
 
     def clock(fn) -> list[float]:
         fn()  # warmup
@@ -168,15 +165,16 @@ def _cmd_export_fc3(args) -> int:
 
 def _cmd_init(args) -> int:
     cfg = parse_config(args.config)
-    rng = cell_rng(args.seed, format_config(cfg))
-    weights = random_train_weights(cfg, rng)
+    weights, _ = draw_cell(cfg, args.seed)
     save_train_checkpoint(args.output, cfg, weights)
     print(f"wrote training checkpoint {args.output} "
           f"params {block_params(cfg, 'train')}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="repmlp",
         description="Locality-injected block-MLP toolkit: equivalence "

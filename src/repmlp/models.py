@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .block import RepMLPConfig, forward_train, random_bn, random_train_weights
 from .reparam import convert_block, forward_infer, fuse_bn_into_conv
@@ -310,18 +311,11 @@ def convert_model_weights(model: Model, weights: list) -> list:
 
 
 def _max_pool(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    n, c, h, w = x.shape
     if pad:
         fill = np.finfo(x.dtype).min
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
-        h, w = h + 2 * pad, w + 2 * pad
-    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
-    out = np.empty((n, c, ho, wo), dtype=x.dtype)
-    for i in range(ho):
-        for j in range(wo):
-            win = x[:, :, i * stride:i * stride + k, j * stride:j * stride + k]
-            out[:, :, i, j] = win.max(axis=(2, 3))
-    return out
+    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return windows.max(axis=(4, 5))
 
 
 def _run_layers(layers, weights, x):
@@ -532,8 +526,8 @@ def build_resnet50(stage_variants: dict[str, BottleneckConfig] | None = None,
     320.
     """
     stage_variants = stage_variants or {}
-    if input_res % 32:
-        raise ShapeError("input resolution must be a multiple of 32")
+    if input_res < 32 or input_res % 32:
+        raise ShapeError("input resolution must be a positive multiple of 32")
     tile, branch_kernels = (10, (1, 3, 5, 7)) if input_res >= 320 else (7, (1, 3, 5))
     layers: list[LayerSpec] = []
     layers += _conv_bn_relu(3, 64, 7, 2, 3)

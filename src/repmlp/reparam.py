@@ -190,37 +190,3 @@ def forward_infer(x: np.ndarray, cfg: RepMLPConfig, w: RepMLPInferWeights) -> np
     y = y.reshape(b, cfg.out_channels, cfg.part_h, cfg.part_w)
     return inverse_partition(y, x.shape[0], cfg.height, cfg.width)
 
-
-def conv_to_fc_jacobian_check(conv: ConvSpec, in_channels: int, part_h: int, part_w: int,
-                              step: float = 1e-3, max_entries: int = 16) -> float:
-    """Verify that conv_to_fc is linear in the conv kernel.
-
-    For a sample of kernel basis entries E this checks both superposition,
-    conv_to_fc(F + step * E) - conv_to_fc(F) == step * conv_to_fc(E),
-    and the central finite difference of the map against its analytic value
-    conv_to_fc(E). Returns the max abs deviation over both checks.
-    """
-    if step <= 0:
-        raise ShapeError("step must be positive")
-    base = conv_to_fc(conv, in_channels, part_h, part_w).kernel
-    flat_size = conv.kernel.size
-    n_probe = min(max_entries, flat_size)
-    idx = np.linspace(0, flat_size - 1, n_probe).astype(int)
-    worst = 0.0
-    dtype = conv.kernel.dtype
-    for i in np.unique(idx):
-        basis = np.zeros(flat_size, dtype=dtype)
-        basis[i] = 1
-        basis = basis.reshape(conv.kernel.shape)
-        unit = conv_to_fc(ConvSpec(basis, None, conv.padding, conv.groups),
-                          in_channels, part_h, part_w).kernel
-        plus = conv_to_fc(ConvSpec(conv.kernel + dtype.type(step) * basis, None,
-                                   conv.padding, conv.groups),
-                          in_channels, part_h, part_w).kernel
-        minus = conv_to_fc(ConvSpec(conv.kernel - dtype.type(step) * basis, None,
-                                    conv.padding, conv.groups),
-                           in_channels, part_h, part_w).kernel
-        superpos = np.max(np.abs(plus - base - step * unit))
-        fd = np.max(np.abs((plus - minus) / (2 * step) - unit))
-        worst = max(worst, float(superpos), float(fd))
-    return worst

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import RepMLPConfig, forward_train, random_train_weights
+from .block import RepMLPConfig, RepMLPTrainWeights, forward_train, random_train_weights
 from .reparam import convert_block, forward_infer
 from .tensor import ShapeError
 
@@ -145,19 +145,31 @@ def cell_rng(base_seed: int, config_text: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, crc]))
 
 
-def check_cell(cfg: RepMLPConfig, base_seed: int, dtype, tolerance: float,
-               batch: int = 2) -> CellResult:
-    text = format_config(cfg)
-    rng = cell_rng(base_seed, text)
+def draw_cell(cfg: RepMLPConfig, base_seed: int, dtype=np.float32,
+              batch: int = 2) -> tuple[RepMLPTrainWeights, np.ndarray]:
+    """Training weights, then an input batch, from the config's own stream.
+
+    The one home of the (config, seed) draw: verify cells, `init` and
+    `bench` all take their weights (and input) from here.
+    """
+    if batch < 1:
+        raise ShapeError("batch must be >= 1")
+    rng = cell_rng(base_seed, format_config(cfg))
     dt = np.dtype(dtype).type
     weights = random_train_weights(cfg, rng, dt)
     x = rng.uniform(-1.0, 1.0,
                     (batch, cfg.in_channels, cfg.height, cfg.width)).astype(dt)
+    return weights, x
+
+
+def check_cell(cfg: RepMLPConfig, base_seed: int, dtype, tolerance: float,
+               batch: int = 2) -> CellResult:
+    weights, x = draw_cell(cfg, base_seed, dtype, batch)
     reference = forward_train(x, cfg, weights)
     collapsed = convert_block(cfg, weights)
     replayed = forward_infer(x, cfg, collapsed)
     diff = float(np.abs(reference - replayed).max())
-    return CellResult(config=text, max_diff=diff, ok=diff <= tolerance)
+    return CellResult(config=format_config(cfg), max_diff=diff, ok=diff <= tolerance)
 
 
 def run_equivalence(configs, base_seed: int, precision: str, tolerance: float | None = None,
@@ -167,7 +179,7 @@ def run_equivalence(configs, base_seed: int, precision: str, tolerance: float | 
         raise ShapeError(f"unknown precision {precision!r} (choose f32 or f64)")
     dtype = DTYPES[precision]
     tol = DEFAULT_TOLERANCES[precision] if tolerance is None else float(tolerance)
-    if tol < 0:
+    if not tol >= 0:
         raise ShapeError("tolerance must be >= 0")
     results = [check_cell(cfg, base_seed, dtype, tol, batch) for cfg in configs]
 

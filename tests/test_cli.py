@@ -19,7 +19,7 @@ from repmlp.checkpoint import (
     save_checkpoint,
     train_weights_to_tensors,
 )
-from repmlp.cli import main
+from repmlp.cli import build_parser, main
 from repmlp.reparam import forward_infer
 from repmlp.verify import parse_config
 
@@ -64,10 +64,27 @@ def test_verify_quick_grid_writes_report_file(tmp_path, capsys):
 
 
 def test_verify_rejects_malformed_config(capsys):
-    code, _, err = run_cli(capsys, "verify", "--config", "C=4,O=4")
-    assert code == 2 and "error:" in err
-    code, _, err = run_cli(capsys, "verify", "--config", CFG_TEXT + ",zz=1")
-    assert code == 2 and "error:" in err
+    cases = (
+        ("verify", "--config", "C=4,O=4"),
+        ("verify", "--config", CFG_TEXT + ",zz=1"),
+        ("count", "resnet50", "0"),
+        ("count", "resnet50", "-32"),
+        ("verify", "--config", CFG_TEXT, "--tolerance", "nan"),
+        ("verify", "--config", CFG_TEXT, "--batch", "0"),
+        ("bench", "--config", CFG_TEXT, "--batch", "0", "--repeats", "2"),
+    )
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "verify", "--config", CFG_TEXT, "--tolerance", "0")
+    assert code == 1 and "tol=0.000e+00" in out
+    code, out, _ = run_cli(capsys, "verify", "--config", CFG_TEXT)
+    assert code == 0 and "tol=1.000e-04" in out
 
 
 def test_count_emits_frozen_totals(capsys):

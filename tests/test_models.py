@@ -180,15 +180,20 @@ def test_forward_wide_convnet_and_residual_adds():
 def test_max_pool_matches_manual_windows():
     from repmlp.models import _max_pool
     rng = np.random.default_rng(23)
-    x = rng.normal(size=(2, 3, 7, 7))
-    got = _max_pool(x, 3, 2, 1)
-    assert got.shape == (2, 3, 4, 4)
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
-                constant_values=np.finfo(x.dtype).min)
-    for i in range(4):
-        for j in range(4):
-            win = xp[:, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3].max(axis=(2, 3))
-            np.testing.assert_array_equal(got[:, :, i, j], win)
+    # the res50 stem pool, the CIFAR pool, and an unpadded odd case
+    for k, s, pad in ((3, 2, 1), (2, 2, 0), (3, 2, 0)):
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=(2, 3, 7, 9)).astype(dtype)
+            got = _max_pool(x, k, s, pad)
+            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                        constant_values=np.finfo(dtype).min)
+            ho, wo = (7 + 2 * pad - k) // s + 1, (9 + 2 * pad - k) // s + 1
+            want = np.empty((2, 3, ho, wo), dtype=dtype)
+            for i in range(ho):
+                for j in range(wo):
+                    want[:, :, i, j] = xp[:, :, s * i:s * i + k, s * j:s * j + k].max(axis=(2, 3))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (k, s, pad, dtype)
 
 
 def test_counting_rejects_mismatched_graphs():

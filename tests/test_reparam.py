@@ -8,7 +8,6 @@ from repmlp.checkpoint import load_block_checkpoint, save_infer_checkpoint
 from repmlp.reparam import (
     absorb_bn_into_fc1,
     conv_to_fc,
-    conv_to_fc_jacobian_check,
     convert_block,
     forward_infer,
     fuse_bn1d_into_fc,
@@ -280,15 +279,6 @@ def test_conversion_superposition_exact_scale():
     mk = lambda k: conv_to_fc(ConvSpec(k, None, (1, 1), 2), 4, 5, 5).kernel
     np.testing.assert_allclose(mk(a * f1 + b * f2), a * mk(f1) + b * mk(f2),
                                atol=1e-10, rtol=0)
-
-
-def test_jacobian_check_bounds():
-    rng = np.random.default_rng(10)
-    conv = ConvSpec(rng.normal(size=(2, 2, 3, 3)), None, (1, 1), 1)
-    dev = conv_to_fc_jacobian_check(conv, 2, 4, 4, step=1e-3)
-    assert dev <= 1e-6
-    with pytest.raises(ShapeError):
-        conv_to_fc_jacobian_check(conv, 2, 4, 4, step=0.0)
 
 
 def test_converted_weights_store_fewer_numbers():

@@ -9,7 +9,8 @@ child process per tree). Compared artefacts, all from fixed seeds:
 * train-form and deploy-form `run_model` outputs of pure-mlp-cifar at
   batch 4 and repmlp-res50 at batch 1 (saved as .npy);
 * `repmlp init` and `repmlp convert` checkpoints for two block configs,
-  one of them with an identity global-path nonlinearity;
+  one of them with an identity global-path nonlinearity, and the
+  `repmlp export-fc3` map of each of those four checkpoints;
 * `repmlp count` output for every model in MODEL_BUILDERS, at its default
   resolution.
 
@@ -44,8 +45,12 @@ def write_artefacts(out: str) -> None:
                       "--out", os.path.join(out, f"verify_full_{prec}.txt")])
         for i, cfg in enumerate(CONFIGS):
             train = os.path.join(out, f"init{i}.rmlp")
+            infer = os.path.join(out, f"convert{i}.rmlp")
             cli.main(["init", "--config", cfg, "--out", train, "--seed", "5"])
-            cli.main(["convert", train, os.path.join(out, f"convert{i}.rmlp")])
+            cli.main(["convert", train, infer])
+            for ckpt in (train, infer):
+                cli.main(["export-fc3", ckpt, "--out-channel", "0", "--pixel", "3", "3",
+                          "--in-channel", "0", "--out", f"{ckpt}.fc3.txt"])
         for name in models.MODEL_BUILDERS:
             cli.main(["count", name, "--out", os.path.join(out, f"count_{name}.txt")])
     for name, res, batch in (("pure-mlp-cifar", 32, 4), ("repmlp-res50", 224, 1)):
