@@ -44,7 +44,9 @@ class RepMLPConfig:
 
     part_h/part_w are the tile sizes; every branch kernel K must be odd and
     no larger than min(part_h, part_w) so that same-resolution padding
-    K // 2 keeps tile dims. groups must divide both channel counts.
+    K // 2 keeps tile dims. branch_kernels is stored in ascending order,
+    so every spelling of one kernel set is one config. groups must divide
+    both channel counts.
     gp_internal_dim defaults to max(1, in_channels // 4) when left None.
     """
 
@@ -60,7 +62,7 @@ class RepMLPConfig:
     gp_nonlinearity: str = "relu"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "branch_kernels", tuple(self.branch_kernels))
+        object.__setattr__(self, "branch_kernels", tuple(sorted(self.branch_kernels)))
         for name in ("in_channels", "out_channels", "height", "width", "part_h", "part_w", "groups"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1")
@@ -120,7 +122,8 @@ class RepMLPConfig:
 @dataclass(frozen=True)
 class RepMLPTrainWeights:
     """Training-form weights. gp_* / fc1 / fc2 may be None when the global
-    path is inactive; branches are (conv, bn) pairs in any order."""
+    path is inactive; branches are (conv, bn) pairs, one per config kernel,
+    in the config's ascending kernel order."""
 
     fc3: FcSpec
     fc3_bn: BnParams
@@ -140,16 +143,10 @@ def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
             f"config ({cfg.fc_in_dim} -> {cfg.fc_out_dim}, g={cfg.groups})")
     if w.fc3_bn.num_features != cfg.fc_out_dim:
         raise ShapeError("fc3_bn feature count must equal out_channels * part_h * part_w")
-    seen = set()
     for conv, bn in w.branches:
         kh, kw = conv.kernel_size
         if kh != kw:
             raise ShapeError(f"branch kernels must be square, got ({kh}, {kw})")
-        if kh not in cfg.branch_kernels:
-            raise ShapeError(f"branch kernel {kh} not declared in config {cfg.branch_kernels}")
-        if kh in seen:
-            raise ShapeError(f"duplicate branch for kernel {kh}")
-        seen.add(kh)
         if conv.bias is not None:
             raise ShapeError("branch convs must not carry a bias")
         if conv.groups != cfg.groups:
@@ -160,8 +157,10 @@ def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
             raise ShapeError("branch conv padding must be K // 2 (resolution preserving)")
         if bn.num_features != cfg.out_channels:
             raise ShapeError("branch bn feature count must equal out_channels")
-    if seen != set(cfg.branch_kernels):
-        raise ShapeError(f"branches {sorted(seen)} do not cover config {cfg.branch_kernels}")
+    kernels = tuple(conv.kernel_size[0] for conv, _ in w.branches)
+    if kernels != cfg.branch_kernels:
+        raise ShapeError(f"branch kernels {kernels} must be the config's "
+                         f"{cfg.branch_kernels}, in that order")
     if cfg.has_global_path:
         if w.gp_bn is None or w.fc1 is None or w.fc2 is None:
             raise ShapeError("global path is active; gp_bn, fc1, fc2 are required")
@@ -184,10 +183,21 @@ def check_block_input(x: np.ndarray, cfg: RepMLPConfig) -> None:
             f"{(cfg.in_channels, cfg.height, cfg.width)}")
 
 
-def gp_mlp_add(pmap: np.ndarray, cfg: RepMLPConfig, fc1: FcSpec, fc2: FcSpec,
-               bn: BnParams | None) -> np.ndarray:
-    """Shared global-path body: pool tiles, optional BN, FC1, nonlinearity,
-    FC2, broadcast-add onto the tile map. bn=None is the converted form."""
+def global_perceptron(x: np.ndarray, cfg: RepMLPConfig, fc1: FcSpec | None,
+                      fc2: FcSpec | None, bn: BnParams | None) -> np.ndarray:
+    """Partition the input and add the pooled-MLP correction to every tile.
+
+    Both weight forms run through here: pool each tile, BN (bn=None is the
+    converted form, whose FC1 has absorbed it), FC1, nonlinearity, FC2,
+    broadcast-add onto the tile map. When the tile covers the whole image
+    the path is skipped and the output is just the partition of x; the
+    weights are never touched then. The weights are not validated here;
+    the forwards do that once.
+    """
+    check_block_input(x, cfg)
+    pmap = partition(x, cfg.part_h, cfg.part_w)
+    if not cfg.has_global_path:
+        return pmap
     pooled = avg_pool_global(pmap)
     if bn is not None:
         pooled = batchnorm_inference(pooled, bn)
@@ -197,20 +207,6 @@ def gp_mlp_add(pmap: np.ndarray, cfg: RepMLPConfig, fc1: FcSpec, fc2: FcSpec,
         v = np.maximum(v, v.dtype.type(0))
     v = grouped_fc(v, fc2)
     return pmap + v.reshape(-1, cfg.in_channels, 1, 1)
-
-
-def global_perceptron(x: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeights) -> np.ndarray:
-    """Partition the input and add the pooled-MLP correction to every tile.
-
-    When the tile covers the whole image the path is skipped and the output
-    is just the partition of x; fc1/fc2/gp_bn are never touched then.
-    The weights are not validated here; forward_train does that once.
-    """
-    check_block_input(x, cfg)
-    pmap = partition(x, cfg.part_h, cfg.part_w)
-    if not cfg.has_global_path:
-        return pmap
-    return gp_mlp_add(pmap, cfg, w.fc1, w.fc2, w.gp_bn)
 
 
 def local_perceptron(pmap: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeights) -> np.ndarray:
@@ -240,7 +236,7 @@ def partition_perceptron(pmap: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeig
 def forward_train(x: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeights) -> np.ndarray:
     """Training-form block forward: (N, C, H, W) -> (N, O, H, W)."""
     check_train_weights(cfg, w)
-    pmap = global_perceptron(x, cfg, w)
+    pmap = global_perceptron(x, cfg, w.fc1, w.fc2, w.gp_bn)
     out = local_perceptron(pmap, cfg, w) + partition_perceptron(pmap, cfg, w)
     return inverse_partition(out, x.shape[0], cfg.height, cfg.width)
 
@@ -249,39 +245,31 @@ def _uniform(rng: np.random.Generator, shape, lo: float, hi: float, dtype) -> np
     return rng.uniform(lo, hi, size=shape).astype(dtype)
 
 
-def random_bn(rng: np.random.Generator, features: int, dtype=np.float32,
-              positive_gamma: bool = False) -> BnParams:
+def random_bn(rng: np.random.Generator, features: int, dtype=np.float32) -> BnParams:
     """BN stats for randomized tests: variance in [0.5, 1.5], mean in
-    [-0.1, 0.1], affine params in [-0.5, 0.5] (gamma in [0.5, 1.5] when
-    positive_gamma keeps the channel sign)."""
-    glo, ghi = (0.5, 1.5) if positive_gamma else (-0.5, 0.5)
+    [-0.1, 0.1], affine params in [-0.5, 0.5]."""
     return BnParams(
         mean=_uniform(rng, features, -0.1, 0.1, dtype),
         var=_uniform(rng, features, 0.5, 1.5, dtype),
-        gamma=_uniform(rng, features, glo, ghi, dtype),
+        gamma=_uniform(rng, features, -0.5, 0.5, dtype),
         beta=_uniform(rng, features, -0.5, 0.5, dtype),
     )
 
 
-def random_train_weights(cfg: RepMLPConfig, rng: np.random.Generator, dtype=np.float32,
-                         positive_branches: bool = False) -> RepMLPTrainWeights:
-    """Weights for randomized tests: independent uniform on [-0.5, 0.5].
-
-    positive_branches draws branch conv kernels from [0.25, 0.75] with
-    positive BN gammas, biasing the local path toward positive mass.
-    """
+def random_train_weights(cfg: RepMLPConfig, rng: np.random.Generator,
+                         dtype=np.float32) -> RepMLPTrainWeights:
+    """Weights for randomized tests: independent uniform on [-0.5, 0.5]."""
     dtype = np.dtype(dtype).type
     c, o, g = cfg.in_channels, cfg.out_channels, cfg.groups
     branches = []
-    blo, bhi = (0.25, 0.75) if positive_branches else (-0.5, 0.5)
     for k in cfg.branch_kernels:
         conv = ConvSpec(
-            kernel=_uniform(rng, (o, c // g, k, k), blo, bhi, dtype),
+            kernel=_uniform(rng, (o, c // g, k, k), -0.5, 0.5, dtype),
             bias=None,
             padding=(k // 2, k // 2),
             groups=g,
         )
-        branches.append((conv, random_bn(rng, o, dtype, positive_gamma=positive_branches)))
+        branches.append((conv, random_bn(rng, o, dtype)))
     fc3 = FcSpec(
         kernel=_uniform(rng, (cfg.fc_out_dim, cfg.fc_in_dim // g), -0.5, 0.5, dtype),
         bias=None, groups=g, in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim,
@@ -296,7 +284,7 @@ def random_train_weights(cfg: RepMLPConfig, rng: np.random.Generator, dtype=np.f
                      bias=_uniform(rng, c, -0.5, 0.5, dtype), groups=1, in_dim=d, out_dim=c)
     return RepMLPTrainWeights(
         fc3=fc3,
-        fc3_bn=random_bn(rng, cfg.fc_out_dim, dtype, positive_gamma=positive_branches),
+        fc3_bn=random_bn(rng, cfg.fc_out_dim, dtype),
         branches=tuple(branches),
         gp_bn=gp_bn, fc1=fc1, fc2=fc2,
     )

@@ -189,7 +189,7 @@ def _bn_from(tensors: dict, prefix: str, eps: float) -> BnParams:
 def train_weights_to_tensors(w: RepMLPTrainWeights) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {"fc3.kernel": w.fc3.kernel}
     tensors.update(_bn_tensors("fc3_bn", w.fc3_bn))
-    for conv, bn in sorted(w.branches, key=lambda pair: pair[0].kernel_size):
+    for conv, bn in w.branches:
         k = conv.kernel_size[0]
         tensors[f"branch{k}.kernel"] = conv.kernel
         tensors.update(_bn_tensors(f"branch{k}.bn", bn))
@@ -229,7 +229,7 @@ def train_weights_from_tensors(cfg: RepMLPConfig, tensors: dict[str, np.ndarray]
     fc3 = FcSpec(kernel=_take(tensors, "fc3.kernel"), bias=None, groups=cfg.groups,
                  in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim)
     branches = []
-    for k in sorted(cfg.branch_kernels):
+    for k in cfg.branch_kernels:
         conv = ConvSpec(kernel=_take(tensors, f"branch{k}.kernel"), bias=None,
                         padding=(k // 2, k // 2), groups=cfg.groups)
         branches.append((conv, _bn_from(tensors, f"branch{k}.bn", eps)))
@@ -260,14 +260,22 @@ def load_block_checkpoint(path: str):
     """Load a block checkpoint.
 
     Returns (cfg, form, weights) where weights is the train or infer
-    structure according to the stored form.
+    structure according to the stored form. A tensor the config does not
+    declare is an error, not silently dropped.
     """
     config, tensors = load_checkpoint(path)
     cfg = config_from_record(config)
     form = config["form"]
-    eps = float(config["bn_eps"])
     if form == FORM_TRAIN:
-        return cfg, form, train_weights_from_tensors(cfg, tensors, eps)
-    if form == FORM_INFER:
-        return cfg, form, infer_weights_from_tensors(cfg, tensors)
-    raise CheckpointError(f"unknown weight form {form!r}")
+        weights = train_weights_from_tensors(cfg, tensors, float(config["bn_eps"]))
+        declared = train_weights_to_tensors(weights)
+    elif form == FORM_INFER:
+        weights = infer_weights_from_tensors(cfg, tensors)
+        declared = infer_weights_to_tensors(weights)
+    else:
+        raise CheckpointError(f"unknown weight form {form!r}")
+    extra = sorted(tensors.keys() - declared.keys())
+    if extra:
+        raise CheckpointError(f"tensors not declared by the config: "
+                              f"{', '.join(map(repr, extra))}")
+    return cfg, form, weights

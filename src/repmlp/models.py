@@ -287,7 +287,7 @@ def _init_layers(layers, rng, dtype):
 
 
 def init_model_weights(model: Model, rng: np.random.Generator, dtype=np.float32) -> list:
-    """Random weights aligned one-to-one with model.layers (tests only)."""
+    """Random weights aligned one-to-one with model.layers, drawn from rng."""
     return _init_layers(model.layers, rng, np.dtype(dtype).type)
 
 
@@ -356,40 +356,8 @@ def _run_layers(layers, weights, x):
 
 
 def run_model(model: Model, weights: list, x: np.ndarray) -> np.ndarray:
-    """Execute a graph on a batch. Intended for small smoke-test graphs."""
+    """Execute a graph of either form on a batch; returns its last layer's output."""
     return _run_layers(model.layers, weights, x)
-
-
-def format_graph(model: Model) -> str:
-    """Human-readable structured text: one layer per record."""
-    lines = [f"model {model.name} input "
-             f"{model.input_shape[0]}x{model.input_shape[1]}x{model.input_shape[2]}"]
-
-    def emit(layers, depth):
-        ind = "  " * depth
-        for layer in layers:
-            if layer.kind == "add":
-                lines.append(f"{ind}add branches={len(layer.children)}")
-                for bi, branch in enumerate(layer.children):
-                    label = "identity" if len(branch) == 0 else f"{len(branch)} layers"
-                    lines.append(f"{ind}  branch {bi}: {label}")
-                    emit(branch, depth + 2)
-            elif layer.kind in ("repmlp_train", "repmlp_infer"):
-                cfg: RepMLPConfig = layer.attr("cfg")
-                ks = ",".join(str(k) for k in cfg.branch_kernels) or "-"
-                gp = f" gp_hidden={cfg.gp_hidden}" if cfg.has_global_path else ""
-                lines.append(
-                    f"{ind}{layer.kind} in={cfg.in_channels} out={cfg.out_channels} "
-                    f"image={cfg.height}x{cfg.width} tile={cfg.part_h}x{cfg.part_w} "
-                    f"groups={cfg.groups} branches={ks}{gp}")
-            else:
-                parts = [layer.kind]
-                for key, value in layer.attrs:
-                    parts.append(f"{key}={value}")
-                lines.append(ind + " ".join(parts))
-
-    emit(model.layers, 1)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -25,22 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import (
-    RepMLPConfig,
-    RepMLPTrainWeights,
-    check_block_input,
-    check_train_weights,
-    gp_mlp_add,
-)
-from .tensor import (
-    BnParams,
-    ConvSpec,
-    FcSpec,
-    ShapeError,
-    grouped_fc,
-    inverse_partition,
-    partition,
-)
+from .block import RepMLPConfig, RepMLPTrainWeights, check_train_weights, global_perceptron
+from .tensor import BnParams, ConvSpec, FcSpec, ShapeError, grouped_fc, inverse_partition
 
 
 @dataclass(frozen=True)
@@ -158,13 +144,13 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
     """Fold every branch and every BN of a trained block into three FCs.
 
     Summation order is fixed for determinism: the fused fc3 kernel first,
-    then branches in ascending kernel size.
+    then the branches in their checked ascending kernel order.
     """
     check_train_weights(cfg, w)
     fused = fuse_bn1d_into_fc(w.fc3, w.fc3_bn)
     kernel = fused.kernel
     bias = fused.bias
-    for conv, bn in sorted(w.branches, key=lambda pair: pair[0].kernel_size):
+    for conv, bn in w.branches:
         branch_fc = conv_to_fc(fuse_bn_into_conv(conv, bn),
                                cfg.in_channels, cfg.part_h, cfg.part_w)
         kernel = kernel + branch_fc.kernel
@@ -181,10 +167,7 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
 def forward_infer(x: np.ndarray, cfg: RepMLPConfig, w: RepMLPInferWeights) -> np.ndarray:
     """Converted block forward: global-path MLP (BN-free) plus one grouped FC."""
     check_infer_weights(cfg, w)
-    check_block_input(x, cfg)
-    pmap = partition(x, cfg.part_h, cfg.part_w)
-    if cfg.has_global_path:
-        pmap = gp_mlp_add(pmap, cfg, w.fc1, w.fc2, None)
+    pmap = global_perceptron(x, cfg, w.fc1, w.fc2, None)
     b = pmap.shape[0]
     y = grouped_fc(pmap.reshape(b, cfg.fc_in_dim), w.fc3)
     y = y.reshape(b, cfg.out_channels, cfg.part_h, cfg.part_w)

@@ -5,6 +5,7 @@ Each test prints exactly one line, `PASS <property>: <measurement>` or
 line by line. Run with `pytest -rA tests/test_acceptance.py`.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -295,6 +296,17 @@ def _window_mean(kernel: np.ndarray, cfg: RepMLPConfig, o: int, c: int,
                                max(0, j - r):min(cfg.part_w, j + r + 1)]))
 
 
+def _positive_local_path(w):
+    """The signed draw mapped onto positive branch kernels, U(0.25, 0.75),
+    and positive branch and fc3 BN gammas, U(0.5, 1.5), so that the local
+    path adds positive mass to the kernel it folds into."""
+    def positive(bn):
+        return dataclasses.replace(bn, gamma=bn.gamma + 1)
+    branches = tuple((dataclasses.replace(conv, kernel=conv.kernel * 0.5 + 0.5), positive(bn))
+                     for conv, bn in w.branches)
+    return dataclasses.replace(w, branches=branches, fc3_bn=positive(w.fc3_bn))
+
+
 def test_folded_kernel_gains_local_window_mass():
     pool = (
         RepMLPConfig(4, 4, 8, 8, 4, 4, groups=1, branch_kernels=(1, 3)),
@@ -308,8 +320,7 @@ def test_folded_kernel_gains_local_window_mass():
     trials, wins = 0, 0
     for round_ in range(2):
         for cfg in pool:
-            weights = random_train_weights(cfg, rng, np.float64,
-                                           positive_branches=True)
+            weights = _positive_local_path(random_train_weights(cfg, rng, np.float64))
             folded = convert_block(cfg, weights)
             o = int(rng.integers(cfg.out_channels))
             c = int(rng.integers(cfg.in_channels // cfg.groups))

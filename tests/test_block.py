@@ -1,5 +1,7 @@
 """Training-form block: per-path oracles and validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,9 @@ def test_config_derived_properties():
     single = RepMLPConfig(8, 8, 4, 4, 4, 4)
     assert not single.has_global_path
     assert RepMLPConfig(2, 2, 4, 4, 4, 4).gp_hidden == 1  # floored default
+    unsorted = RepMLPConfig(4, 4, 8, 8, 4, 4, branch_kernels=(3, 1))
+    assert unsorted.branch_kernels == (1, 3)
+    assert unsorted == RepMLPConfig(4, 4, 8, 8, 4, 4, branch_kernels=(1, 3))
 
 
 def test_config_validation():
@@ -75,7 +80,7 @@ def test_global_path_adds_tile_means():
     x[0, 0, :2, 2:] = 2.0
     x[0, 0, 2:, :2] = 3.0
     x[0, 0, 2:, 2:] = 4.0
-    pmap = global_perceptron(x, cfg, w)
+    pmap = global_perceptron(x, cfg, w.fc1, w.fc2, w.gp_bn)
     assert pmap.shape == (4, 1, 2, 2)
     for tile, value in enumerate((2.0, 4.0, 6.0, 8.0)):
         np.testing.assert_allclose(pmap[tile], value, atol=1e-12)
@@ -87,7 +92,8 @@ def test_global_path_skipped_when_tile_covers_image():
     w = random_train_weights(cfg, rng, np.float64)
     assert w.fc1 is None and w.fc2 is None and w.gp_bn is None
     x = rng.normal(size=(3, 2, 4, 4))
-    np.testing.assert_array_equal(global_perceptron(x, cfg, w), partition(x, 4, 4))
+    np.testing.assert_array_equal(global_perceptron(x, cfg, None, None, None),
+                                  partition(x, 4, 4))
 
 
 def test_local_perceptron_empty_branch_list_is_exact_zero():
@@ -195,6 +201,12 @@ def test_check_train_weights_rejections():
             fc3=good.fc3, fc3_bn=good.fc3_bn, branches=good.branches,
             gp_bn=good.gp_bn, fc1=bad_fc1, fc2=good.fc2))
 
+    two = RepMLPConfig(2, 2, 3, 3, 3, 3, branch_kernels=(1, 3))
+    ordered = random_train_weights(two, rng, np.float64)
+    check_train_weights(two, ordered)
+    with pytest.raises(ShapeError):  # branch 3 before branch 1
+        check_train_weights(two, dataclasses.replace(ordered, branches=ordered.branches[::-1]))
+
 
 def test_forward_rejects_mismatched_input():
     cfg = RepMLPConfig(2, 2, 4, 4, 2, 2, gp_internal_dim=1)
@@ -204,12 +216,3 @@ def test_forward_rejects_mismatched_input():
     with pytest.raises(ShapeError):
         forward_train(np.zeros((1, 2, 8, 4)), cfg, w)
 
-
-def test_random_weights_respect_positive_branch_mode():
-    cfg = RepMLPConfig(4, 4, 8, 8, 8, 8, branch_kernels=(3, 7))
-    w = random_train_weights(cfg, np.random.default_rng(9), np.float32,
-                             positive_branches=True)
-    for conv, bn in w.branches:
-        assert conv.kernel.min() >= 0.25 and conv.kernel.max() <= 0.75
-        assert bn.gamma.min() >= 0.5
-    assert w.fc3.kernel.dtype == np.float32

@@ -36,8 +36,7 @@ def test_train_round_trip_bit_exact(tmp_path):
     assert np.array_equal(w2.fc3.kernel, w.fc3.kernel)
     assert np.array_equal(w2.fc3_bn.var, w.fc3_bn.var)
     assert len(w2.branches) == 2
-    for (c1, b1), (c2, b2) in zip(sorted(w.branches, key=lambda p: p[0].kernel_size),
-                                  w2.branches):
+    for (c1, b1), (c2, b2) in zip(w.branches, w2.branches):
         assert np.array_equal(c1.kernel, c2.kernel)
         assert c2.padding == c1.padding and c2.groups == c1.groups
         assert np.array_equal(b1.gamma, b2.gamma)

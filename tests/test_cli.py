@@ -21,7 +21,7 @@ from repmlp.checkpoint import (
 )
 from repmlp.cli import build_parser, main
 from repmlp.reparam import forward_infer
-from repmlp.verify import parse_config
+from repmlp.verify import format_config, parse_config
 
 CFG_TEXT = "C=4,O=4,H=8,W=8,h=4,w=4,g=2,ks=1-3"
 
@@ -43,6 +43,16 @@ def test_verify_stdout_is_run_to_run_identical(capsys):
     first = run_cli(capsys, "verify", "--config", CFG_TEXT)
     second = run_cli(capsys, "verify", "--config", CFG_TEXT)
     assert first == second
+
+
+def test_branch_kernel_spellings_are_one_config(capsys):
+    # kernels are stored ascending, so both spellings share one config,
+    # one config string and so one seed stream
+    reversed_text = CFG_TEXT.replace("ks=1-3", "ks=3-1")
+    assert parse_config(reversed_text) == parse_config(CFG_TEXT)
+    assert format_config(parse_config(reversed_text)) == CFG_TEXT
+    assert (run_cli(capsys, "verify", "--config", reversed_text)
+            == run_cli(capsys, "verify", "--config", CFG_TEXT))
 
 
 def test_verify_zero_tolerance_reports_failure(capsys):
@@ -183,6 +193,10 @@ def _malformed_checkpoint(path, case):
         rec["bn_eps"] = "1e-5"
     elif case == "list_record":
         rec = [rec]
+    elif case == "junk_tensor":
+        tensors["junk"] = np.zeros(1, np.float32)
+    elif case == "undeclared_branch":  # the file still holds branch3.*
+        rec["branch_kernels"] = [1]
     save_checkpoint(str(path), rec, tensors)
     if case == "truncated_payload":
         path.write_bytes(path.read_bytes()[:-9])
@@ -190,7 +204,7 @@ def _malformed_checkpoint(path, case):
 
 @pytest.mark.parametrize("case", ["missing_key", "string_int", "bool_int", "string_kernels",
                                   "string_eps", "list_record", "huge_dims",
-                                  "truncated_payload"])
+                                  "truncated_payload", "junk_tensor", "undeclared_branch"])
 def test_convert_rejects_malformed_checkpoint(tmp_path, capsys, case):
     bad = tmp_path / "bad.rmlp"
     _malformed_checkpoint(bad, case)

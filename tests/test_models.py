@@ -19,7 +19,6 @@ from repmlp.models import (
     count_flops,
     count_params,
     fc_layer,
-    format_graph,
     init_model_weights,
     output_shape,
     pool_layer,
@@ -227,18 +226,6 @@ def test_resnet_alternate_resolution_uses_larger_tiles():
     walk(model.layers)
     assert all(c.part_h == 10 and c.branch_kernels == (1, 3, 5, 7) for c in cfgs)
     assert {c.height for c in cfgs} == {40, 20}
-
-
-def test_format_graph_records():
-    text = format_graph(build_pure_mlp_cifar())
-    lines = text.splitlines()
-    assert lines[0] == "model pure-mlp-cifar input 3x32x32"
-    assert any(l.strip().startswith("repmlp_train in=16") for l in lines)
-    assert any("gp_hidden=832" in l for l in lines)
-    resnet_text = format_graph(build_resnet50())
-    assert "add branches=2" in resnet_text
-    assert "branch 1: identity" in resnet_text
-    assert format_graph(build_pure_mlp_cifar()) == text  # stable
 
 
 def test_pool_layer_validation():

@@ -8,9 +8,10 @@ child process per tree). Compared artefacts, all from fixed seeds:
 * `repmlp verify --grid full` reports in f32 and f64;
 * train-form and deploy-form `run_model` outputs of pure-mlp-cifar at
   batch 4 and repmlp-res50 at batch 1 (saved as .npy);
-* `repmlp init` and `repmlp convert` checkpoints for two block configs,
-  one of them with an identity global-path nonlinearity, and the
-  `repmlp export-fc3` map of each of those four checkpoints;
+* `repmlp init` and `repmlp convert` checkpoints for three block configs
+  (one with an identity global-path nonlinearity, one whose single tile
+  covers the image, so it has no global path, with four branches), and
+  the `repmlp export-fc3` map of each of those six checkpoints;
 * `repmlp count` output for every model in MODEL_BUILDERS, at its default
   resolution.
 
@@ -27,7 +28,8 @@ import sys
 import tempfile
 
 CONFIGS = ("C=8,O=8,H=14,W=14,h=7,w=7,g=2,ks=1-3-5",
-           "C=4,O=8,H=16,W=16,h=8,w=8,g=4,ks=1-3-7,gp=3,nl=identity")
+           "C=4,O=8,H=16,W=16,h=8,w=8,g=4,ks=1-3-7,gp=3,nl=identity",
+           "C=4,O=4,H=8,W=8,h=8,w=8,g=2,ks=1-3-5-7")
 
 
 def write_artefacts(out: str) -> None:
