@@ -153,8 +153,9 @@ def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
             raise ShapeError("branch conv groups must equal config groups")
         if conv.in_channels != cfg.in_channels or conv.out_channels != cfg.out_channels:
             raise ShapeError("branch conv channels do not match config")
-        if conv.padding != (kh // 2, kw // 2):
-            raise ShapeError("branch conv padding must be K // 2 (resolution preserving)")
+        if conv.padding != (kh // 2, kw // 2) or conv.stride != 1:
+            raise ShapeError("branch conv padding must be K // 2 and stride 1 "
+                             "(resolution preserving)")
         if bn.num_features != cfg.out_channels:
             raise ShapeError("branch bn feature count must equal out_channels")
     kernels = tuple(conv.kernel_size[0] for conv, _ in w.branches)

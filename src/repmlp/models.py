@@ -268,7 +268,7 @@ def _init_layers(layers, rng, dtype):
             shape = (out_ch, layer.attr("in_ch") // g, layer.attr("k"), layer.attr("k"))
             bias = None if bn else rng.uniform(-0.5, 0.5, out_ch).astype(dtype)
             conv = ConvSpec(rng.uniform(-0.5, 0.5, shape).astype(dtype), bias,
-                            (layer.attr("pad"), layer.attr("pad")), g)
+                            (layer.attr("pad"), layer.attr("pad")), g, layer.attr("stride"))
             weights.append((conv, random_bn(rng, out_ch, dtype)) if bn else conv)
         elif layer.kind == "fc":
             d_in, d_out = layer.attr("in_dim"), layer.attr("out_dim")
@@ -324,9 +324,6 @@ def _run_layers(layers, weights, x):
         if kind == "conv":
             conv, bn = w if layer.attr("bn") else (w, None)
             x = conv2d(x, conv)
-            s = layer.attr("stride")
-            if s != 1:
-                x = x[:, :, ::s, ::s]
             if bn is not None:
                 x = batchnorm_inference(x, bn)
         elif kind == "fc":

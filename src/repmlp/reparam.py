@@ -60,7 +60,8 @@ def fuse_bn_into_conv(conv: ConvSpec, bn: BnParams) -> ConvSpec:
         raise ShapeError("bn feature count must equal conv out_channels")
     scale, shift = bn.affine()
     kernel = conv.kernel * scale.reshape(-1, 1, 1, 1)
-    return ConvSpec(kernel=kernel, bias=shift, padding=conv.padding, groups=conv.groups)
+    return ConvSpec(kernel=kernel, bias=shift, padding=conv.padding, groups=conv.groups,
+                    stride=conv.stride)
 
 
 def fuse_bn1d_into_fc(fc: FcSpec, bn: BnParams) -> FcSpec:
@@ -115,8 +116,8 @@ def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> Fc
         raise ShapeError(f"conv expects {conv.in_channels} channels, got {in_channels}")
     kh, kw = conv.kernel_size
     ph, pw = kh // 2, kw // 2
-    if conv.padding != (ph, pw):
-        raise ShapeError("conv_to_fc requires resolution-preserving padding K // 2")
+    if conv.padding != (ph, pw) or conv.stride != 1:
+        raise ShapeError("conv_to_fc requires resolution-preserving padding K // 2 and stride 1")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("conv_to_fc requires odd kernel sizes")
     cg = in_channels // g

@@ -4,11 +4,14 @@ reshape.
 
 Feature maps are dense 4-D numpy arrays in (N, C, H, W) layout, row-major,
 float32 or float64. Every operation is a pure function: inputs are never
-mutated and the output dtype always equals the input dtype. Convolution is
-stride 1 with zero padding and is computed as an explicit sliding window
-(one einsum per kernel offset, no im2col and no BLAS), which keeps the
-arithmetic auditable and makes results bitwise identical under any split of
-the batch dimension.
+mutated and the output dtype always equals the input dtype. Convolution
+has zero padding and an integer stride and runs at its output stride: no
+output that is later discarded is computed. It is a sliding window over a
+channel-major copy of the input (one einsum per kernel tap, no im2col and
+no BLAS). Its summation order is fixed: within a tap the input channels
+are added one at a time, starting from zero; the taps are then added in
+row-major order. Every output element sees that same order, so results
+are bitwise identical under any split of the batch dimension.
 """
 
 from __future__ import annotations
@@ -49,18 +52,24 @@ class ConvSpec:
     """Grouped 2-D convolution parameters.
 
     kernel has dims (out_channels, in_channels / groups, K_h, K_w);
-    bias, when present, has length out_channels. Stride is always 1.
+    bias, when present, has length out_channels. stride is one int step
+    for both spatial axes, at least 1. conv2d computes the output only at
+    that stride, each element in one fixed order: the input channels of a
+    tap one at a time from zero, then the taps in row-major order.
     """
 
     kernel: np.ndarray
     bias: np.ndarray | None
     padding: tuple[int, int]
     groups: int = 1
+    stride: int = 1
 
     def __post_init__(self) -> None:
         _check_float(self.kernel, "conv kernel")
         _require(self.kernel.ndim == 4, f"conv kernel must be 4-D, got shape {self.kernel.shape}")
         _require(self.groups >= 1, "groups must be >= 1")
+        _require(isinstance(self.stride, int) and not isinstance(self.stride, bool)
+                 and self.stride >= 1, f"conv stride must be an int >= 1, got {self.stride!r}")
         out_ch = self.kernel.shape[0]
         _require(out_ch >= 1 and out_ch % self.groups == 0,
                  f"out_channels {out_ch} not divisible by groups {self.groups}")
@@ -158,11 +167,15 @@ class BnParams:
 
 
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Grouped 2-D convolution, stride 1, zero padding.
+    """Grouped 2-D convolution with zero padding, run at spec.stride.
 
-    Computed as a sliding window: the output accumulates one shifted
-    input-window product per kernel tap. Output group j reads only input
-    channel group j.
+    Output group j reads only input channel group j. The padded input is
+    copied once to channel-major (C, N, H, W) order. For each group and
+    kernel tap, the tap's window at the output stride is copied into a
+    contiguous (C/g, N * H_out * W_out) block, and one einsum adds its
+    channels one at a time, starting from zero. That tap sum is added to a
+    zero-initialised accumulator, taps in row-major order, and the bias
+    last.
     """
     check_feature_map(x)
     _same_dtype(x, spec.kernel, "conv2d")
@@ -174,24 +187,35 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
              f"conv2d: input has {c} channels, kernel expects {cg * g} ({cg} x {g} groups)")
     kh, kw = spec.kernel_size
     ph, pw = spec.padding
+    s = spec.stride
     hp, wp = h + 2 * ph, w + 2 * pw
     _require(kh <= hp and kw <= wp,
              f"conv2d: kernel ({kh}, {kw}) larger than padded input ({hp}, {wp})")
-    ho, wo = hp - kh + 1, wp - kw + 1
+    ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
 
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((n, out_ch, ho, wo), dtype=x.dtype)
+    # With a one-pixel output einsum's inner axis would have length 1, and
+    # numpy then reduces over the channels with an unrolled sum that rounds
+    # differently; a doubled batch keeps every output on the channel order.
+    single = n * ho * wo == 1
+    if single:
+        x = np.concatenate((x, x))
+        n = 2
+    xc = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    acc = np.zeros((out_ch, n * ho * wo), dtype=x.dtype)
     og = out_ch // g
     for gi in range(g):
-        xg = xp[:, gi * cg:(gi + 1) * cg]
+        xg = xc[gi * cg:(gi + 1) * cg]
         kg = spec.kernel[gi * og:(gi + 1) * og]
-        acc = out[:, gi * og:(gi + 1) * og]
+        accg = acc[gi * og:(gi + 1) * og]
         for i in range(kh):
             for j in range(kw):
-                acc += np.einsum("nchw,oc->nohw", xg[:, :, i:i + ho, j:j + wo], kg[:, :, i, j])
+                win = xg[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+                win = np.ascontiguousarray(win).reshape(cg, n * ho * wo)
+                accg += np.einsum("cq,oc->oq", win, kg[:, :, i, j])
     if spec.bias is not None:
-        out += spec.bias.reshape(1, out_ch, 1, 1)
-    return out
+        acc += spec.bias.reshape(out_ch, 1)
+    out = np.ascontiguousarray(acc.reshape(out_ch, n, ho, wo).transpose(1, 0, 2, 3))
+    return out[:1] if single else out
 
 
 def grouped_fc(v: np.ndarray, spec: FcSpec) -> np.ndarray:

@@ -186,6 +186,12 @@ def test_check_train_weights_rejections():
             fc3=good.fc3, fc3_bn=good.fc3_bn, branches=((undeclared, bn),),
             gp_bn=good.gp_bn, fc1=good.fc1, fc2=good.fc2))
 
+    strided = dataclasses.replace(conv, stride=2)
+    with pytest.raises(ShapeError):  # a strided branch would fold into a wrong FC
+        check_train_weights(cfg, RepMLPTrainWeights(
+            fc3=good.fc3, fc3_bn=good.fc3_bn, branches=((strided, bn),),
+            gp_bn=good.gp_bn, fc1=good.fc1, fc2=good.fc2))
+
     with pytest.raises(ShapeError):  # declared branch missing entirely
         check_train_weights(cfg, RepMLPTrainWeights(
             fc3=good.fc3, fc3_bn=good.fc3_bn, branches=(),

@@ -81,6 +81,39 @@ def test_model_totals_frozen(name):
     assert got == _FROZEN[name], (name, got)
 
 
+@pytest.mark.parametrize("form", ["train", "deploy"])
+def test_executed_macs_equal_count_flops(monkeypatch, form):
+    # every conv runs at its output stride and the FC runs once, so the MACs
+    # run_model executes are exactly the ones count_flops accounts
+    from repmlp import models
+    executed = []
+    conv2d, grouped_fc = models.conv2d, models.grouped_fc
+
+    def counted_conv(x, spec):
+        y = conv2d(x, spec)
+        kh, kw = spec.kernel_size
+        executed.append(y.size * spec.kernel.shape[1] * kh * kw)
+        return y
+
+    def counted_fc(v, spec):
+        y = grouped_fc(v, spec)
+        executed.append(y.size * spec.in_dim // spec.groups)
+        return y
+
+    monkeypatch.setattr(models, "conv2d", counted_conv)
+    monkeypatch.setattr(models, "grouped_fc", counted_fc)
+    model = build_resnet50(input_res=64)
+    rng = np.random.default_rng(24)
+    weights = init_model_weights(model, rng, np.float32)
+    x = rng.uniform(-1, 1, (1,) + model.input_shape).astype(np.float32)
+    if form == "deploy":
+        weights = convert_model_weights(model, weights)
+        model = convert_graph(model)
+    y = run_model(model, weights, x)
+    assert y.shape == (1, 1000)
+    assert sum(executed) == count_flops(model)
+
+
 def test_resnet50_structure():
     model = build_resnet50()
     kinds = [layer.kind for layer in model.layers]

@@ -52,10 +52,11 @@ def test_fuse_bn_into_conv_identity_bn_is_noop():
 
 def test_fuse_bn_into_conv_composite_forward():
     rng = np.random.default_rng(1)
-    for _ in range(25):
+    for it in range(25):
         g = int(rng.choice([1, 2]))
         c, o, k = 2 * g, 4 * g, int(rng.choice([1, 3]))
-        conv = ConvSpec(rng.normal(size=(o, c // g, k, k)), None, (k // 2, k // 2), g)
+        conv = ConvSpec(rng.normal(size=(o, c // g, k, k)), None, (k // 2, k // 2), g,
+                        1 + it % 2)
         bn = bn_of(rng.normal(size=o), rng.uniform(0.5, 1.5, o),
                    rng.normal(size=o), rng.normal(size=o))
         x = rng.normal(size=(2, c, 5, 5))
@@ -117,6 +118,13 @@ def test_conv_to_fc_k1_is_scaled_identity():
     fc = conv_to_fc(conv, 1, 3, 4)
     np.testing.assert_array_equal(fc.kernel, 2.5 * np.eye(12))
     assert fc.bias is None
+
+
+def test_conv_to_fc_rejects_stride():
+    # a stride-2 conv is not resolution preserving; it must not fold
+    conv = ConvSpec(np.ones((1, 1, 3, 3)), None, (1, 1), 1, 2)
+    with pytest.raises(ShapeError):
+        conv_to_fc(conv, 1, 4, 4)
 
 
 def test_conv_to_fc_all_ones_3x3_covers_2x2_tile():

@@ -40,6 +40,32 @@ def conv_loops(x, kernel, padding, groups):
     return out
 
 
+def conv_channel_order(x, kernel, bias, padding, groups, stride):
+    """The kernel's summation order written out: per group and tap, the
+    input channels are added one at a time into a zero tap sum; the tap
+    sums are added in row-major order, and the bias last."""
+    n, c, h, w = x.shape
+    o, cg, kh, kw = kernel.shape
+    ph, pw = padding
+    s = stride
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho, wo = (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
+    out = np.zeros((n, o, ho, wo), dtype=x.dtype)
+    og = o // groups
+    for gi in range(groups):
+        kg = kernel[gi * og:(gi + 1) * og]
+        for i in range(kh):
+            for j in range(kw):
+                tap = np.zeros((n, og, ho, wo), dtype=x.dtype)
+                for ci in range(cg):
+                    win = xp[:, gi * cg + ci, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+                    tap += win[:, None] * kg[:, ci, i, j].reshape(1, og, 1, 1)
+                out[:, gi * og:(gi + 1) * og] += tap
+    if bias is not None:
+        out += bias.reshape(1, o, 1, 1)
+    return out
+
+
 def test_conv_all_ones_counts_window_overlap():
     # 3x3 ones kernel over a padded 3x3 ones image counts valid taps per pixel
     x = np.ones((1, 1, 3, 3))
@@ -49,25 +75,63 @@ def test_conv_all_ones_counts_window_overlap():
 
 
 def test_conv_matches_loop_reference():
+    # a stride-s conv is the stride-1 loop reference sampled every s pixels
     rng = np.random.default_rng(101)
     cases = [
-        # (c, o, g, k, h, w, padding)
-        (1, 1, 1, 3, 4, 4, (1, 1)),
-        (2, 3, 1, 3, 5, 4, (1, 1)),
-        (4, 2, 2, 1, 4, 6, (0, 0)),
-        (4, 4, 4, 3, 6, 5, (1, 1)),
-        (3, 3, 3, 3, 3, 3, (1, 1)),
-        (2, 4, 2, 5, 6, 6, (2, 2)),
-        (2, 2, 1, 3, 5, 5, (0, 0)),   # valid conv, shrinking output
-        (2, 2, 1, 3, 5, 5, (2, 1)),   # asymmetric padding
+        # (c, o, g, k, h, w, padding, stride)
+        (1, 1, 1, 3, 4, 4, (1, 1), 1),
+        (2, 3, 1, 3, 5, 4, (1, 1), 1),
+        (4, 2, 2, 1, 4, 6, (0, 0), 1),
+        (4, 4, 4, 3, 6, 5, (1, 1), 1),
+        (3, 3, 3, 3, 3, 3, (1, 1), 1),
+        (2, 4, 2, 5, 6, 6, (2, 2), 1),
+        (2, 2, 1, 3, 5, 5, (0, 0), 1),   # valid conv, shrinking output
+        (2, 2, 1, 3, 5, 5, (2, 1), 1),   # asymmetric padding
+        (3, 4, 1, 7, 12, 11, (3, 3), 2),  # the res50 stem's shape
+        (4, 4, 2, 3, 7, 8, (1, 1), 2),
+        (2, 3, 1, 1, 7, 7, (0, 0), 2),
+        (4, 2, 2, 3, 8, 9, (0, 2), 3),
     ]
-    for c, o, g, k, h, w, pad in cases:
+    for c, o, g, k, h, w, pad, s in cases:
         x = rng.normal(size=(2, c, h, w))
         kernel = rng.normal(size=(o, c // g, k, k))
-        got = conv2d(x, ConvSpec(kernel, None, pad, g))
-        want = conv_loops(x, kernel, pad, g)
+        got = conv2d(x, ConvSpec(kernel, None, pad, g, s))
+        want = conv_loops(x, kernel, pad, g)[:, :, ::s, ::s]
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+
+def test_conv_bytes_equal_channel_order_oracle():
+    # the kernel adds exactly what the oracle adds, in the same order, so the
+    # bytes agree; covers strides, groups, padding, batch sizes, one-pixel
+    # outputs, signed zeros and both dtypes
+    rng = np.random.default_rng(103)
+    cases = [
+        # (n, cg, og, g, kh, kw, h, w, padding, stride)
+        (1, 3, 2, 1, 3, 3, 6, 7, (1, 1), 1),
+        (2, 5, 3, 2, 3, 3, 7, 6, (1, 1), 2),
+        (3, 2, 2, 4, 1, 1, 5, 5, (0, 0), 2),
+        (1, 7, 4, 1, 7, 7, 11, 11, (3, 3), 2),
+        (2, 4, 1, 2, 5, 3, 9, 8, (2, 0), 3),
+        (3, 6, 2, 4, 2, 2, 6, 9, (0, 1), 3),
+        (2, 1, 3, 1, 3, 3, 5, 5, (0, 0), 1),
+        (1, 40, 3, 1, 1, 1, 1, 1, (0, 0), 1),    # one-pixel input and output
+        (1, 33, 2, 2, 3, 3, 3, 3, (0, 0), 1),    # valid conv to one pixel
+        (3, 40, 2, 1, 1, 1, 2, 2, (0, 0), 2),    # stride to one pixel per image
+        (1, 9, 2, 2, 3, 3, 1, 1, (1, 1), 2),     # padded one-pixel input
+    ]
+    for dtype in (np.float32, np.float64):
+        for n, cg, og, g, kh, kw, h, w, pad, s in cases:
+            x = rng.normal(size=(n, cg * g, h, w)).astype(dtype)
+            x[rng.random(x.shape) < 0.2] = -0.0
+            kernel = rng.normal(size=(og * g, cg, kh, kw)).astype(dtype)
+            kernel[rng.random(kernel.shape) < 0.2] = -0.0
+            for bias in (None, rng.normal(size=og * g).astype(dtype)):
+                got = conv2d(x, ConvSpec(kernel, bias, pad, g, s))
+                want = conv_channel_order(x, kernel, bias, pad, g, s)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (dtype, n, cg, og, g, kh, kw, s)
 
 
 def test_conv_group_split_matches_stacked_dense():
@@ -112,6 +176,9 @@ def test_conv_validation():
         ConvSpec(kernel, np.ones(3), (1, 1), 1)  # bias length != out channels
     with pytest.raises(ShapeError):
         ConvSpec(np.ones((2, 3, 3, 3), dtype=np.int64), None, (1, 1), 1)
+    for stride in (0, -1, 2.0, "2", True, None):
+        with pytest.raises(ShapeError):
+            ConvSpec(kernel, None, (1, 1), 1, stride)
 
 
 def test_grouped_fc_two_group_hand_case():
@@ -203,15 +270,22 @@ def test_partition_rejects_non_divisible():
 
 def test_kernels_bitwise_under_batch_split():
     # a batch split by hand and concatenated must equal the whole batch bit
-    # for bit, for the conv and the grouped FC kernel alike
+    # for bit, for the conv and the grouped FC kernel alike; the strided and
+    # the one-pixel-output convs split down to a single output pixel
     rng = np.random.default_rng(11)
     x = rng.normal(size=(10, 4, 6, 6)).astype(np.float32)
     conv = ConvSpec(rng.normal(size=(6, 2, 3, 3)).astype(np.float32),
                     rng.normal(size=6).astype(np.float32), (1, 1), 2)
+    strided = ConvSpec(rng.normal(size=(4, 4, 3, 3)).astype(np.float32), None, (1, 1), 1, 2)
+    pixels = rng.normal(size=(10, 256, 1, 1)).astype(np.float32)
+    one_pixel = ConvSpec(rng.normal(size=(8, 256, 1, 1)).astype(np.float32),
+                         rng.normal(size=8).astype(np.float32), (0, 0), 1)
     v = x.reshape(10, -1)
     fc = FcSpec(rng.normal(size=(48, 36)).astype(np.float32),
                 rng.normal(size=48).astype(np.float32), 4, 144, 48)
-    for op, inp in ((lambda b: conv2d(b, conv), x), (lambda b: grouped_fc(b, fc), v)):
+    for op, inp in ((lambda b: conv2d(b, conv), x), (lambda b: conv2d(b, strided), x),
+                    (lambda b: conv2d(b, one_pixel), pixels),
+                    (lambda b: grouped_fc(b, fc), v)):
         whole = op(inp)
         for chunk in (1, 3, 4, 10, 16):
             parts = [op(inp[i:i + chunk]) for i in range(0, len(inp), chunk)]

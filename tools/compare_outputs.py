@@ -6,8 +6,8 @@ Each tree is a checkout root (its library is imported from TREE/src, in a
 child process per tree). Compared artefacts, all from fixed seeds:
 
 * `repmlp verify --grid full` reports in f32 and f64;
-* train-form and deploy-form `run_model` outputs of pure-mlp-cifar at
-  batch 4 and repmlp-res50 at batch 1 (saved as .npy);
+* train-form and deploy-form `run_model` outputs of pure-mlp-cifar and
+  wide-convnet at batch 4 and repmlp-res50 at batch 1 (saved as .npy);
 * `repmlp init` and `repmlp convert` checkpoints for three block configs
   (one with an identity global-path nonlinearity, one whose single tile
   covers the image, so it has no global path, with four branches), and
@@ -16,7 +16,7 @@ child process per tree). Compared artefacts, all from fixed seeds:
   resolution.
 
 Prints one sha256 line per artefact and tree; exits 1 if any differ.
-A full run takes about 25 s per tree on a 2-vCPU machine.
+A full run takes about 20 s per tree on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def write_artefacts(out: str) -> None:
                           "--in-channel", "0", "--out", f"{ckpt}.fc3.txt"])
         for name in models.MODEL_BUILDERS:
             cli.main(["count", name, "--out", os.path.join(out, f"count_{name}.txt")])
-    for name, res, batch in (("pure-mlp-cifar", 32, 4), ("repmlp-res50", 224, 1)):
+    for name, res, batch in (("pure-mlp-cifar", 32, 4), ("wide-convnet", 32, 4),
+                             ("repmlp-res50", 224, 1)):
         model = models.build_named_model(name, res)
         rng = np.random.default_rng(1234)
         weights = models.init_model_weights(model, rng, np.float32)
