@@ -134,7 +134,8 @@ class RepMLPTrainWeights:
 
 
 def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
-    """Validate weight shapes against the config. Raises ShapeError."""
+    """Validate weight shapes against the config, and that every weight has
+    one dtype. Raises ShapeError."""
     if w.fc3.bias is not None:
         raise ShapeError("fc3 must not carry a bias; its BN provides the affine part")
     if (w.fc3.in_dim, w.fc3.out_dim, w.fc3.groups) != (cfg.fc_in_dim, cfg.fc_out_dim, cfg.groups):
@@ -173,6 +174,13 @@ def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
             raise ShapeError(f"fc1 must map {cfg.in_channels} -> {cfg.gp_hidden}")
         if (w.fc2.in_dim, w.fc2.out_dim) != (cfg.gp_hidden, cfg.in_channels):
             raise ShapeError(f"fc2 must map {cfg.gp_hidden} -> {cfg.in_channels}")
+    # conversion adds the branches into the fc3 kernel in place, so a mixed
+    # block would be rounded to the fc3 dtype instead of being rejected
+    arrays = [w.fc3_bn.mean] + [a for conv, bn in w.branches for a in (conv.kernel, bn.mean)]
+    if cfg.has_global_path:
+        arrays += [w.gp_bn.mean, w.fc1.kernel, w.fc2.kernel]
+    if any(a.dtype != w.fc3.kernel.dtype for a in arrays):
+        raise ShapeError(f"block weights must all have the fc3 kernel dtype {w.fc3.kernel.dtype}")
 
 
 def check_block_input(x: np.ndarray, cfg: RepMLPConfig) -> None:

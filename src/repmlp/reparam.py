@@ -107,7 +107,9 @@ def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> Fc
     one-hot per group, every response value is a single kernel tap, so the
     matrix is assembled by direct placement instead of running the probes:
     entry [(o, a, b), (c, i, j)] is kernel[o, c, i - a + ph, j - b + pw]
-    when that offset lands inside the window, else zero. A conv bias,
+    when that offset lands inside the window, else zero. For each output
+    position (a, b) the window clipped to the tile is one rectangle, so the
+    matrix is filled with one block copy per output position. A conv bias,
     constant over tile positions, is replicated part_h*part_w times.
     """
     g = conv.groups
@@ -122,18 +124,13 @@ def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> Fc
         raise ShapeError("conv_to_fc requires odd kernel sizes")
     cg = in_channels // g
     grid = np.zeros((o, part_h, part_w, cg, part_h, part_w), dtype=conv.kernel.dtype)
-    for ki in range(kh):
-        # output row a reads input row a + ki - ph; clamp to the tile
-        rows = np.arange(max(0, ph - ki), min(part_h, part_h + ph - ki))
-        if rows.size == 0:
-            continue
-        for kj in range(kw):
-            cols = np.arange(max(0, pw - kj), min(part_w, part_w + pw - kj))
-            if cols.size == 0:
-                continue
-            grid[:, rows[:, None], cols[None, :], :,
-                 (rows + ki - ph)[:, None],
-                 (cols + kj - pw)[None, :]] = conv.kernel[:, :, ki, kj]
+    for a in range(part_h):
+        # output row a reads input rows a - ph .. a + ph, clamped to the tile
+        i0, i1 = max(0, a - ph), min(part_h, a - ph + kh)
+        for b in range(part_w):
+            j0, j1 = max(0, b - pw), min(part_w, b - pw + kw)
+            grid[:, a, b, :, i0:i1, j0:j1] = \
+                conv.kernel[:, :, i0 - a + ph:i1 - a + ph, j0 - b + pw:j1 - b + pw]
     kernel = grid.reshape(o * part_h * part_w, cg * part_h * part_w)
     bias = None if conv.bias is None else np.repeat(conv.bias, part_h * part_w)
     return FcSpec(kernel=kernel, bias=bias, groups=g,
@@ -145,7 +142,9 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
     """Fold every branch and every BN of a trained block into three FCs.
 
     Summation order is fixed for determinism: the fused fc3 kernel first,
-    then the branches in their checked ascending kernel order.
+    then the branches in their checked ascending kernel order. The branches
+    are added in place into the fused fc3 arrays, which the BN fold has
+    just made, so no input array is written or shared.
     """
     check_train_weights(cfg, w)
     fused = fuse_bn1d_into_fc(w.fc3, w.fc3_bn)
@@ -154,8 +153,8 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
     for conv, bn in w.branches:
         branch_fc = conv_to_fc(fuse_bn_into_conv(conv, bn),
                                cfg.in_channels, cfg.part_h, cfg.part_w)
-        kernel = kernel + branch_fc.kernel
-        bias = bias + branch_fc.bias
+        kernel += branch_fc.kernel
+        bias += branch_fc.bias
     fc3 = FcSpec(kernel=kernel, bias=bias, groups=cfg.groups,
                  in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim)
     fc1 = fc2 = None

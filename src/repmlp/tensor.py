@@ -27,24 +27,27 @@ class ShapeError(ValueError):
     """Raised when array shapes, dtypes, groups, or sizes do not line up."""
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ShapeError(msg)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_float(arr: np.ndarray, name: str) -> None:
-    _require(isinstance(arr, np.ndarray), f"{name} must be a numpy array")
-    _require(arr.dtype in FLOAT_DTYPES, f"{name} must be float32 or float64, got {arr.dtype}")
+    if not isinstance(arr, np.ndarray):
+        raise ShapeError(f"{name} must be a numpy array")
+    if arr.dtype not in FLOAT_DTYPES:
+        raise ShapeError(f"{name} must be float32 or float64, got {arr.dtype}")
 
 
 def check_feature_map(x: np.ndarray) -> None:
     """Validate the (N, C, H, W) feature map contract."""
     _check_float(x, "input")
-    _require(x.ndim == 4, f"feature map must be 4-D (N, C, H, W), got shape {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"feature map must be 4-D (N, C, H, W), got shape {x.shape}")
 
 
 def _same_dtype(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    _require(a.dtype == b.dtype, f"{what}: dtype mismatch {a.dtype} vs {b.dtype}")
+    if a.dtype != b.dtype:
+        raise ShapeError(f"{what}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,9 @@ class ConvSpec:
     """Grouped 2-D convolution parameters.
 
     kernel has dims (out_channels, in_channels / groups, K_h, K_w);
-    bias, when present, has length out_channels. stride is one int step
+    bias, when present, has length out_channels. padding is a tuple of
+    two non-negative ints (rows, columns) and groups an int >= 1 that
+    divides out_channels. stride is one int step
     for both spatial axes, at least 1. conv2d computes the output only at
     that stride, each element in one fixed order: the input channels of a
     tap one at a time from zero, then the taps in row-major order.
@@ -66,20 +71,28 @@ class ConvSpec:
 
     def __post_init__(self) -> None:
         _check_float(self.kernel, "conv kernel")
-        _require(self.kernel.ndim == 4, f"conv kernel must be 4-D, got shape {self.kernel.shape}")
-        _require(self.groups >= 1, "groups must be >= 1")
-        _require(isinstance(self.stride, int) and not isinstance(self.stride, bool)
-                 and self.stride >= 1, f"conv stride must be an int >= 1, got {self.stride!r}")
+        if self.kernel.ndim != 4:
+            raise ShapeError(f"conv kernel must be 4-D, got shape {self.kernel.shape}")
+        if not _is_int(self.groups):
+            raise ShapeError(f"conv groups must be an int, got {self.groups!r}")
+        if self.groups < 1:
+            raise ShapeError("groups must be >= 1")
+        if not (_is_int(self.stride) and self.stride >= 1):
+            raise ShapeError(f"conv stride must be an int >= 1, got {self.stride!r}")
         out_ch = self.kernel.shape[0]
-        _require(out_ch >= 1 and out_ch % self.groups == 0,
-                 f"out_channels {out_ch} not divisible by groups {self.groups}")
-        ph, pw = self.padding
-        _require(ph >= 0 and pw >= 0, "padding must be non-negative")
+        if out_ch < 1 or out_ch % self.groups:
+            raise ShapeError(f"out_channels {out_ch} not divisible by groups {self.groups}")
+        pad = self.padding
+        if not (isinstance(pad, tuple) and len(pad) == 2 and all(map(_is_int, pad))):
+            raise ShapeError(f"conv padding must be a pair of ints, got {pad!r}")
+        ph, pw = pad
+        if ph < 0 or pw < 0:
+            raise ShapeError("padding must be non-negative")
         if self.bias is not None:
             _check_float(self.bias, "conv bias")
             _same_dtype(self.kernel, self.bias, "conv bias")
-            _require(self.bias.shape == (out_ch,),
-                     f"conv bias must have shape ({out_ch},), got {self.bias.shape}")
+            if self.bias.shape != (out_ch,):
+                raise ShapeError(f"conv bias must have shape ({out_ch},), got {self.bias.shape}")
 
     @property
     def out_channels(self) -> int:
@@ -100,7 +113,8 @@ class FcSpec:
 
     kernel has dims (out_dim, in_dim / groups): row q holds the weights of
     output feature q over its own group's inputs. bias, when present, has
-    length out_dim.
+    length out_dim. groups, in_dim and out_dim are ints, and groups >= 1
+    divides both dims.
     """
 
     kernel: np.ndarray
@@ -111,21 +125,27 @@ class FcSpec:
 
     def __post_init__(self) -> None:
         _check_float(self.kernel, "fc kernel")
-        _require(self.kernel.ndim == 2, f"fc kernel must be 2-D, got shape {self.kernel.shape}")
-        _require(self.groups >= 1, "groups must be >= 1")
-        _require(self.in_dim % self.groups == 0,
-                 f"in_dim {self.in_dim} not divisible by groups {self.groups}")
-        _require(self.out_dim % self.groups == 0,
-                 f"out_dim {self.out_dim} not divisible by groups {self.groups}")
+        if self.kernel.ndim != 2:
+            raise ShapeError(f"fc kernel must be 2-D, got shape {self.kernel.shape}")
+        for name in ("groups", "in_dim", "out_dim"):
+            if not _is_int(getattr(self, name)):
+                raise ShapeError(f"fc {name} must be an int, got {getattr(self, name)!r}")
+        if self.groups < 1:
+            raise ShapeError("groups must be >= 1")
+        if self.in_dim % self.groups:
+            raise ShapeError(f"in_dim {self.in_dim} not divisible by groups {self.groups}")
+        if self.out_dim % self.groups:
+            raise ShapeError(f"out_dim {self.out_dim} not divisible by groups {self.groups}")
         expect = (self.out_dim, self.in_dim // self.groups)
-        _require(self.kernel.shape == expect,
-                 f"fc kernel shape {self.kernel.shape} does not match "
-                 f"(out_dim, in_dim/groups) = {expect}")
+        if self.kernel.shape != expect:
+            raise ShapeError(f"fc kernel shape {self.kernel.shape} does not match "
+                             f"(out_dim, in_dim/groups) = {expect}")
         if self.bias is not None:
             _check_float(self.bias, "fc bias")
             _same_dtype(self.kernel, self.bias, "fc bias")
-            _require(self.bias.shape == (self.out_dim,),
-                     f"fc bias must have shape ({self.out_dim},), got {self.bias.shape}")
+            if self.bias.shape != (self.out_dim,):
+                raise ShapeError(
+                    f"fc bias must have shape ({self.out_dim},), got {self.bias.shape}")
 
 
 @dataclass(frozen=True)
@@ -145,12 +165,16 @@ class BnParams:
         for name in ("mean", "var", "gamma", "beta"):
             arr = getattr(self, name)
             _check_float(arr, f"bn {name}")
-            _require(arr.ndim == 1, f"bn {name} must be 1-D")
-            _require(arr.shape == self.mean.shape, "bn parameter lengths differ")
+            if arr.ndim != 1:
+                raise ShapeError(f"bn {name} must be 1-D")
+            if arr.shape != self.mean.shape:
+                raise ShapeError("bn parameter lengths differ")
             _same_dtype(arr, self.mean, "bn params")
-        _require(self.eps > 0.0, "bn eps must be positive")
-        _require(float(np.min(self.var)) + self.eps > 0.0,
-                 "bn effective variance must be strictly positive")
+        # written as not (...) so that a NaN eps or variance fails the check
+        if not self.eps > 0.0:
+            raise ShapeError("bn eps must be positive")
+        if not float(np.min(self.var)) + self.eps > 0.0:
+            raise ShapeError("bn effective variance must be strictly positive")
 
     @property
     def num_features(self) -> int:
@@ -183,14 +207,15 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     g = spec.groups
     out_ch = spec.out_channels
     cg = spec.kernel.shape[1]
-    _require(c == cg * g,
-             f"conv2d: input has {c} channels, kernel expects {cg * g} ({cg} x {g} groups)")
+    if c != cg * g:
+        raise ShapeError(
+            f"conv2d: input has {c} channels, kernel expects {cg * g} ({cg} x {g} groups)")
     kh, kw = spec.kernel_size
     ph, pw = spec.padding
     s = spec.stride
     hp, wp = h + 2 * ph, w + 2 * pw
-    _require(kh <= hp and kw <= wp,
-             f"conv2d: kernel ({kh}, {kw}) larger than padded input ({hp}, {wp})")
+    if kh > hp or kw > wp:
+        raise ShapeError(f"conv2d: kernel ({kh}, {kw}) larger than padded input ({hp}, {wp})")
     ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
 
     # With a one-pixel output einsum's inner axis would have length 1, and
@@ -200,7 +225,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     if single:
         x = np.concatenate((x, x))
         n = 2
-    xc = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xc = np.zeros((c, n, hp, wp), dtype=x.dtype)
+    xc[:, :, ph:ph + h, pw:pw + w] = x.transpose(1, 0, 2, 3)
     acc = np.zeros((out_ch, n * ho * wo), dtype=x.dtype)
     og = out_ch // g
     for gi in range(g):
@@ -226,10 +252,12 @@ def grouped_fc(v: np.ndarray, spec: FcSpec) -> np.ndarray:
     block j depends only on input block j.
     """
     _check_float(v, "fc input")
-    _require(v.ndim == 2, f"fc input must be 2-D (N, P), got shape {v.shape}")
+    if v.ndim != 2:
+        raise ShapeError(f"fc input must be 2-D (N, P), got shape {v.shape}")
     _same_dtype(v, spec.kernel, "grouped_fc")
     n, p = v.shape
-    _require(p == spec.in_dim, f"fc input has {p} features, spec expects {spec.in_dim}")
+    if p != spec.in_dim:
+        raise ShapeError(f"fc input has {p} features, spec expects {spec.in_dim}")
     g = spec.groups
     pg = p // g
     qg = spec.out_dim // g
@@ -246,8 +274,9 @@ def batchnorm_inference(x: np.ndarray, bn: BnParams) -> np.ndarray:
     """Inference-mode batch norm: gamma * (x - mean) / sqrt(var + eps) + beta."""
     check_feature_map(x)
     _same_dtype(x, bn.mean, "batchnorm_inference")
-    _require(x.shape[1] == bn.num_features,
-             f"batchnorm: input has {x.shape[1]} channels, params have {bn.num_features}")
+    if x.shape[1] != bn.num_features:
+        raise ShapeError(
+            f"batchnorm: input has {x.shape[1]} channels, params have {bn.num_features}")
     scale, shift = bn.affine()
     return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
 
@@ -255,7 +284,8 @@ def batchnorm_inference(x: np.ndarray, bn: BnParams) -> np.ndarray:
 def avg_pool_global(x: np.ndarray) -> np.ndarray:
     """Average over the full spatial extent, keeping dims: (N, C, H, W) -> (N, C, 1, 1)."""
     check_feature_map(x)
-    _require(x.shape[2] >= 1 and x.shape[3] >= 1, "avg_pool_global: empty spatial extent")
+    if x.shape[2] < 1 or x.shape[3] < 1:
+        raise ShapeError("avg_pool_global: empty spatial extent")
     return x.mean(axis=(2, 3), keepdims=True)
 
 
@@ -268,9 +298,10 @@ def partition(x: np.ndarray, part_h: int, part_w: int) -> np.ndarray:
     """
     check_feature_map(x)
     n, c, h, w = x.shape
-    _require(part_h >= 1 and part_w >= 1, "partition size must be >= 1")
-    _require(h % part_h == 0 and w % part_w == 0,
-             f"partition: ({h}, {w}) not divisible by tile ({part_h}, {part_w})")
+    if part_h < 1 or part_w < 1:
+        raise ShapeError("partition size must be >= 1")
+    if h % part_h or w % part_w:
+        raise ShapeError(f"partition: ({h}, {w}) not divisible by tile ({part_h}, {part_w})")
     nh, nw = h // part_h, w // part_w
     t = x.reshape(n, c, nh, part_h, nw, part_w).transpose(0, 2, 4, 1, 3, 5)
     return t.reshape(n * nh * nw, c, part_h, part_w)
@@ -283,10 +314,12 @@ def inverse_partition(pmap: np.ndarray, n: int, height: int, width: int) -> np.n
     """
     check_feature_map(pmap)
     b, c, part_h, part_w = pmap.shape
-    _require(height % part_h == 0 and width % part_w == 0,
-             f"inverse_partition: ({height}, {width}) not divisible by tile ({part_h}, {part_w})")
+    if height % part_h or width % part_w:
+        raise ShapeError(f"inverse_partition: ({height}, {width}) not divisible by tile "
+                         f"({part_h}, {part_w})")
     nh, nw = height // part_h, width // part_w
-    _require(b == n * nh * nw,
-             f"inverse_partition: {b} tiles cannot form {n} images of {nh}x{nw} tiles")
+    if b != n * nh * nw:
+        raise ShapeError(
+            f"inverse_partition: {b} tiles cannot form {n} images of {nh}x{nw} tiles")
     t = pmap.reshape(n, nh, nw, c, part_h, part_w).transpose(0, 3, 1, 4, 2, 5)
     return t.reshape(n, c, height, width)

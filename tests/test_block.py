@@ -192,6 +192,12 @@ def test_check_train_weights_rejections():
             fc3=good.fc3, fc3_bn=good.fc3_bn, branches=((strided, bn),),
             gp_bn=good.gp_bn, fc1=good.fc1, fc2=good.fc2))
 
+    narrow = ConvSpec(conv.kernel.astype(np.float32), None, conv.padding, conv.groups)
+    with pytest.raises(ShapeError):  # an f32 branch in an f64 block
+        check_train_weights(cfg, RepMLPTrainWeights(
+            fc3=good.fc3, fc3_bn=good.fc3_bn, branches=((narrow, bn),),
+            gp_bn=good.gp_bn, fc1=good.fc1, fc2=good.fc2))
+
     with pytest.raises(ShapeError):  # declared branch missing entirely
         check_train_weights(cfg, RepMLPTrainWeights(
             fc3=good.fc3, fc3_bn=good.fc3_bn, branches=(),

@@ -1,5 +1,8 @@
 """Folding engine: fusion oracles, FC-from-conv, and end-to-end equivalence."""
 
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from repmlp.tensor import (
     conv2d,
     grouped_fc,
 )
+from repmlp.verify import build_grid, check_cell
 
 EPS = 1e-5
 
@@ -179,6 +183,43 @@ def test_conv_to_fc_equals_probe_stack():
         assert np.array_equal(fc.kernel, probe_stack_kernel(conv, c, h, w))
 
 
+def conv_to_fc_scatter(kernel, groups, in_channels, part_h, part_w):
+    """The FC kernel placed one kernel tap at a time: for tap (ki, kj), every
+    output position it reaches inside the tile is written with one fancy
+    index."""
+    o, cg, kh, kw = kernel.shape
+    ph, pw = kh // 2, kw // 2
+    grid = np.zeros((o, part_h, part_w, cg, part_h, part_w), dtype=kernel.dtype)
+    for ki in range(kh):
+        rows = np.arange(max(0, ph - ki), min(part_h, part_h + ph - ki))
+        for kj in range(kw):
+            cols = np.arange(max(0, pw - kj), min(part_w, part_w + pw - kj))
+            if rows.size and cols.size:
+                grid[:, rows[:, None], cols[None, :], :,
+                     (rows + ki - ph)[:, None],
+                     (cols + kj - pw)[None, :]] = kernel[:, :, ki, kj]
+    return grid.reshape(o * part_h * part_w, in_channels // groups * part_h * part_w)
+
+
+def test_conv_to_fc_bytes_equal_tap_scatter_oracle():
+    # signed zeros, kernels larger than the tile, non-square kernels and tiles
+    rng = np.random.default_rng(21)
+    for dtype in (np.float32, np.float64):
+        for _ in range(60):
+            g = int(rng.choice([1, 2, 3]))
+            c, o = g * int(rng.integers(1, 4)), g * int(rng.integers(1, 4))
+            kh, kw = (int(k) for k in rng.choice([1, 3, 5, 7], size=2))
+            h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            kernel = rng.uniform(-1, 1, (o, c // g, kh, kw)).astype(dtype)
+            kernel[rng.random(kernel.shape) < 0.2] = 0.0
+            kernel[rng.random(kernel.shape) < 0.2] = -0.0
+            conv = ConvSpec(kernel, None, (kh // 2, kw // 2), g)
+            got = conv_to_fc(conv, c, h, w).kernel
+            want = conv_to_fc_scatter(kernel, g, c, h, w)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (c, o, g, kh, kw, h, w)
+
+
 def test_conv_to_fc_columns_are_impulse_responses():
     rng = np.random.default_rng(4)
     c, o, g, k, h, w = 4, 6, 2, 3, 4, 5
@@ -247,6 +288,22 @@ def test_convert_block_k1_identity_branch_adds_identity():
     out = convert_block(cfg, RepMLPTrainWeights(
         fc3=fc3, fc3_bn=id_bn(18), branches=((conv, id_bn(2)),)))
     np.testing.assert_allclose(out.fc3.kernel, np.eye(18), atol=1e-12)
+
+
+def test_convert_block_leaves_inputs_untouched_and_unshared():
+    cfg = RepMLPConfig(4, 4, 10, 12, 5, 6, groups=2, branch_kernels=(1, 3, 5))
+    for dtype in (np.float32, np.float64):
+        w = random_train_weights(cfg, np.random.default_rng(3), dtype)
+        arrays = [w.fc3.kernel, w.fc1.kernel, w.fc1.bias, w.fc2.kernel, w.fc2.bias]
+        for bn in [w.fc3_bn, w.gp_bn] + [bn for _, bn in w.branches]:
+            arrays += [bn.mean, bn.var, bn.gamma, bn.beta]
+        arrays += [conv.kernel for conv, _ in w.branches]
+        before = [a.tobytes() for a in arrays]
+        fc3 = convert_block(cfg, w).fc3
+        assert [a.tobytes() for a in arrays] == before
+        for a in arrays:
+            assert not np.shares_memory(fc3.kernel, a)
+            assert not np.shares_memory(fc3.bias, a)
 
 
 def test_equivalence_spot_checks_both_dtypes():
@@ -338,3 +395,15 @@ def test_conversion_reload_replays_bit_identical(tmp_path):
     assert path.read_bytes() == again.read_bytes()
     # and matches the in-memory conversion exactly (f32 payloads)
     assert np.array_equal(first, forward_infer(x, cfg, infer))
+
+
+def test_passing_checks_format_no_messages():
+    # a check that passes must not build its error text: numpy's dtype
+    # __str__ is what an eagerly formatted f"{arr.dtype}" message calls
+    cfg = max(build_grid("quick"), key=lambda c: len(c.branch_kernels))
+    profile = cProfile.Profile()
+    result = profile.runcall(check_cell, cfg, 1, np.float32, 1e-4)
+    assert result.ok
+    calls = [key for key in pstats.Stats(profile).stats
+             if key[0].endswith("_dtype.py") and key[2] == "__str__"]
+    assert calls == []

@@ -179,6 +179,12 @@ def test_conv_validation():
     for stride in (0, -1, 2.0, "2", True, None):
         with pytest.raises(ShapeError):
             ConvSpec(kernel, None, (1, 1), 1, stride)
+    for padding in ((1.5, 1.5), (1, 1.0), (True, True), (1, None), [1, 1], 1, (1, 1, 1)):
+        with pytest.raises(ShapeError):
+            ConvSpec(kernel, None, padding, 1)
+    for groups in (2.0, True, "1", None):
+        with pytest.raises(ShapeError):
+            ConvSpec(np.ones((2, 3, 3, 3)), None, (1, 1), groups)
 
 
 def test_grouped_fc_two_group_hand_case():
@@ -217,6 +223,48 @@ def test_grouped_fc_validation():
         FcSpec(np.ones((2, 3)), None, 2, 4, 2)  # kernel shape mismatch
     with pytest.raises(ShapeError):
         FcSpec(np.ones((2, 2)), None, 3, 4, 2)  # groups do not divide dims
+    # each of these passed the shape checks as a non-int (or bool) stand-in
+    for groups, in_dim, out_dim in ((2.0, 4, 2), (2, 4.0, 2), (2, 4, 2.0), (True, 2, 2),
+                                    (1, True, 2), (2, 4, None)):
+        with pytest.raises(ShapeError):
+            FcSpec(np.ones((2, 2)), None, groups, in_dim, out_dim)
+
+
+_F32 = np.ones((2, 3, 3, 3), dtype=np.float32)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConvSpec(_F32.astype(np.int64), None, (1, 1), 1),
+     "conv kernel must be float32 or float64, got int64"),
+    (lambda: grouped_fc(np.ones((1, 2), dtype=np.float16), FcSpec(np.ones((2, 2)), None, 1, 2, 2)),
+     "fc input must be float32 or float64, got float16"),
+    (lambda: conv2d(np.ones((1, 3, 5, 5)), ConvSpec(_F32, None, (1, 1), 1)),
+     "conv2d: dtype mismatch float64 vs float32"),
+    (lambda: conv2d(np.ones((4, 5, 5), dtype=np.float32), ConvSpec(_F32, None, (1, 1), 1)),
+     "feature map must be 4-D (N, C, H, W), got shape (4, 5, 5)"),
+    (lambda: ConvSpec(_F32[0], None, (1, 1), 1),
+     "conv kernel must be 4-D, got shape (3, 3, 3)"),
+    (lambda: FcSpec(np.ones((2, 3)), None, 2, 4, 2),
+     "fc kernel shape (2, 3) does not match (out_dim, in_dim/groups) = (2, 2)"),
+    (lambda: ConvSpec(_F32, np.ones(3, dtype=np.float32), (1, 1), 1),
+     "conv bias must have shape (2,), got (3,)"),
+    (lambda: FcSpec(np.ones((2, 2)), np.ones(3), 2, 4, 2),
+     "fc bias must have shape (2,), got (3,)"),
+    (lambda: FcSpec(np.ones((2, 2)), np.ones(2, dtype=np.float32), 2, 4, 2),
+     "fc bias: dtype mismatch float64 vs float32"),
+    (lambda: BnParams(np.zeros(2), np.ones(3), np.ones(2), np.zeros(2)),
+     "bn parameter lengths differ"),
+    (lambda: partition(np.ones((1, 1, 5, 4)), 2, 2),
+     "partition: (5, 4) not divisible by tile (2, 2)"),
+    (lambda: inverse_partition(np.ones((4, 1, 2, 2)), 1, 5, 4),
+     "inverse_partition: (5, 4) not divisible by tile (2, 2)"),
+], ids=["dtype-name", "fc-input-dtype", "conv2d-mismatch", "4d-map", "conv-kernel-shape",
+        "fc-kernel-shape", "conv-bias-shape", "fc-bias-shape", "fc-bias-mismatch", "bn-lengths",
+        "partition", "inverse-partition"])
+def test_validation_messages(build, message):
+    with pytest.raises(ShapeError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_batchnorm_scalar_oracle():

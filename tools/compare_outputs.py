@@ -13,7 +13,11 @@ child process per tree). Compared artefacts, all from fixed seeds:
   covers the image, so it has no global path, with four branches), and
   the `repmlp export-fc3` map of each of those six checkpoints;
 * `repmlp count` output for every model in MODEL_BUILDERS, at its default
-  resolution.
+  resolution;
+* the fc3 kernel and bias bytes that `convert_block` makes, in f32 and f64,
+  from a block whose fc3 and branch kernels hold planted +0.0 and -0.0
+  entries (no 1x1 branch, whose +0.0 fill off the diagonal would turn every
+  -0.0 sum into +0.0; this block's fc3 kernel holds about a hundred -0.0).
 
 Prints one sha256 line per artefact and tree; exits 1 if any differ.
 A full run takes about 20 s per tree on a 2-vCPU machine.
@@ -39,7 +43,7 @@ def write_artefacts(out: str) -> None:
 
     import numpy as np
 
-    from repmlp import cli, models
+    from repmlp import block, cli, models, reparam
 
     with contextlib.redirect_stdout(io.StringIO()):
         for prec in ("f32", "f64"):
@@ -65,6 +69,17 @@ def write_artefacts(out: str) -> None:
         np.save(os.path.join(out, f"{name}_train.npy"), models.run_model(model, weights, x))
         np.save(os.path.join(out, f"{name}_deploy.npy"),
                 models.run_model(models.convert_graph(model), deploy_weights, x))
+    cfg = block.RepMLPConfig(4, 4, 12, 10, 6, 5, groups=2, branch_kernels=(3, 5))
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(99)
+        weights = block.random_train_weights(cfg, rng, dtype)
+        for kernel in [weights.fc3.kernel] + [conv.kernel for conv, _ in weights.branches]:
+            flat = kernel.reshape(-1)
+            flat[rng.random(flat.size) < 0.6] = 0.0
+            flat[rng.random(flat.size) < 0.5] = -0.0
+        fc3 = reparam.convert_block(cfg, weights).fc3
+        with open(os.path.join(out, f"convert_signed_zero_{dtype.__name__}.bin"), "wb") as fh:
+            fh.write(fc3.kernel.tobytes() + fc3.bias.tobytes())
 
 
 def digests(tree: str) -> dict[str, str]:
