@@ -62,10 +62,16 @@ class RepMLPConfig:
     gp_nonlinearity: str = "relu"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "branch_kernels", tuple(sorted(self.branch_kernels)))
         for name in ("in_channels", "out_channels", "height", "width", "part_h", "part_w", "groups"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if type(value) is not int:  # bool and float are not int here
+                raise ShapeError(f"{name} must be an int, got {value!r}")
+            if value < 1:
                 raise ShapeError(f"{name} must be >= 1")
+        for k in self.branch_kernels:
+            if type(k) is not int:
+                raise ShapeError(f"branch kernels must be ints, got {self.branch_kernels!r}")
+        object.__setattr__(self, "branch_kernels", tuple(sorted(self.branch_kernels)))
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ShapeError(
                 f"groups {self.groups} must divide in_channels {self.in_channels} "
@@ -82,8 +88,11 @@ class RepMLPConfig:
                                  f"({self.part_h}, {self.part_w})")
         if len(set(self.branch_kernels)) != len(self.branch_kernels):
             raise ShapeError("duplicate branch kernel sizes")
-        if self.gp_internal_dim is not None and self.gp_internal_dim < 1:
-            raise ShapeError("gp_internal_dim must be >= 1")
+        if self.gp_internal_dim is not None:
+            if type(self.gp_internal_dim) is not int:
+                raise ShapeError(f"gp_internal_dim must be an int, got {self.gp_internal_dim!r}")
+            if self.gp_internal_dim < 1:
+                raise ShapeError("gp_internal_dim must be >= 1")
         if self.gp_nonlinearity not in GP_NONLINEARITIES:
             raise ShapeError(f"gp_nonlinearity must be one of {GP_NONLINEARITIES}")
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .block import RepMLPConfig, RepMLPTrainWeights
 from .reparam import RepMLPInferWeights
-from .tensor import BnParams, ConvSpec, FcSpec
+from .tensor import BnParams, ConvSpec, FcSpec, _is_int
 
 MAGIC = b"RMLP"
 FORMAT_VERSION = 1
@@ -64,10 +64,6 @@ def config_record(cfg: RepMLPConfig, form: str, bn_eps: float = 1e-5) -> dict:
 _INT_FIELDS = ("in_channels", "out_channels", "height", "width", "part_h", "part_w", "groups")
 _RECORD_KEYS = ("form", *_INT_FIELDS, "branch_kernels", "gp_internal_dim", "gp_nonlinearity",
                 "bn_eps")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def config_from_record(rec: dict) -> RepMLPConfig:

@@ -346,6 +346,7 @@ def test_reports_and_checkpoints_deterministic(tmp_path, capsys):
     # each cell's result depends on its config and the seed alone: over a
     # permuted grid, the report holds the same cell lines in permuted order
     grid = build_grid("quick")
+    global_cells = sum(cfg.has_global_path for cfg in grid)
     order = np.random.default_rng(2024).permutation(len(grid))
     plain = run_equivalence(grid, 7, "f32")[0].splitlines()
     permuted = run_equivalence([grid[i] for i in order], 7, "f32")[0].splitlines()
@@ -368,9 +369,10 @@ def test_reports_and_checkpoints_deterministic(tmp_path, capsys):
     save_infer_checkpoint(str(fourth), cfg, reloaded)
     infer_same = third.read_bytes() == fourth.read_bytes()
 
-    ok = reports_same and order_free and train_same and infer_same
+    ok = reports_same and order_free and global_cells > 0 and train_same and infer_same
     _report(ok, "reports_and_checkpoints_deterministic",
-            f"two fixed-seed verify runs identical ({len(out_a)} bytes), "
-            f"a permuted grid gives the same cell lines in permuted order, train and "
+            f"two fixed-seed verify runs identical ({len(out_a)} bytes, "
+            f"{global_cells} of {len(grid)} cells with a global path), a permuted "
+            f"grid gives the same cell lines in permuted order, train and "
             f"collapsed checkpoints byte-identical after reload "
             f"({first.stat().st_size} and {third.stat().st_size} bytes)")

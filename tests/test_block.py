@@ -63,6 +63,20 @@ def test_config_validation():
         RepMLPConfig(4, 4, 8, 8, 4, 4, gp_nonlinearity="tanh")
     with pytest.raises(ShapeError):
         RepMLPConfig(4, 4, 8, 8, 4, 4, gp_internal_dim=0)
+    # each of these passed the range checks as a float or bool stand-in:
+    # in_channels=4.0 built a block with fc_in_dim 64.0, True ran as 1
+    good = dict(in_channels=4, out_channels=4, height=8, width=8, part_h=4, part_w=4,
+                groups=2)
+    for name in good:
+        for bad in (float(good[name]), True, str(good[name]), None):
+            with pytest.raises(ShapeError, match=f"{name} must be an int"):
+                RepMLPConfig(**dict(good, **{name: bad}))
+    for bad in (4.0, True, "4"):
+        with pytest.raises(ShapeError, match="gp_internal_dim must be an int"):
+            RepMLPConfig(**good, gp_internal_dim=bad)
+    for kernels in ((3.0,), (1, True), ("3",)):
+        with pytest.raises(ShapeError, match="branch kernels must be ints"):
+            RepMLPConfig(**good, branch_kernels=kernels)
 
 
 def test_global_path_adds_tile_means():

@@ -25,7 +25,7 @@ from repmlp.tensor import (
     conv2d,
     grouped_fc,
 )
-from repmlp.verify import build_grid, check_cell
+from repmlp.verify import _PART_MULTIPLIERS, build_grid, check_cell
 
 EPS = 1e-5
 
@@ -400,10 +400,22 @@ def test_conversion_reload_replays_bit_identical(tmp_path):
 def test_passing_checks_format_no_messages():
     # a check that passes must not build its error text: numpy's dtype
     # __str__ is what an eagerly formatted f"{arr.dtype}" message calls
-    cfg = max(build_grid("quick"), key=lambda c: len(c.branch_kernels))
+    cfg = max(build_grid("quick"), key=lambda c: (c.has_global_path, len(c.branch_kernels)))
+    assert cfg.has_global_path and len(cfg.branch_kernels) >= 3
     profile = cProfile.Profile()
     result = profile.runcall(check_cell, cfg, 1, np.float32, 1e-4)
     assert result.ok
     calls = [key for key in pstats.Stats(profile).stats
              if key[0].endswith("_dtype.py") and key[2] == "__str__"]
     assert calls == []
+
+
+def test_quick_grid_covers_every_partition_multiplier():
+    # the quick grid samples the full one with a stride; a stride sharing a
+    # factor with the nine multipliers (27 did) sees only some of them, and
+    # with (1, 1) alone no cell runs the global path
+    quick = build_grid("quick")
+    seen = {(c.height // c.part_h, c.width // c.part_w) for c in quick}
+    assert seen == set(_PART_MULTIPLIERS)
+    assert sum(c.has_global_path for c in quick) >= len(quick) // 2
+    assert len(quick) == 64

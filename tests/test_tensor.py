@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repmlp.tensor import (
+    KC,
+    TILE,
     BnParams,
     ConvSpec,
     FcSpec,
@@ -14,6 +17,7 @@ from repmlp.tensor import (
     grouped_fc,
     inverse_partition,
     partition,
+    _gemm,
 )
 
 
@@ -40,30 +44,24 @@ def conv_loops(x, kernel, padding, groups):
     return out
 
 
-def conv_channel_order(x, kernel, bias, padding, groups, stride):
-    """The kernel's summation order written out: per group and tap, the
-    input channels are added one at a time into a zero tap sum; the tap
-    sums are added in row-major order, and the bias last."""
-    n, c, h, w = x.shape
-    o, cg, kh, kw = kernel.shape
-    ph, pw = padding
-    s = stride
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    ho, wo = (h + 2 * ph - kh) // s + 1, (w + 2 * pw - kw) // s + 1
-    out = np.zeros((n, o, ho, wo), dtype=x.dtype)
-    og = o // groups
-    for gi in range(groups):
-        kg = kernel[gi * og:(gi + 1) * og]
-        for i in range(kh):
-            for j in range(kw):
-                tap = np.zeros((n, og, ho, wo), dtype=x.dtype)
-                for ci in range(cg):
-                    win = xp[:, gi * cg + ci, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
-                    tap += win[:, None] * kg[:, ci, i, j].reshape(1, og, 1, 1)
-                out[:, gi * og:(gi + 1) * og] += tap
-    if bias is not None:
-        out += bias.reshape(1, o, 1, 1)
+def gemm(w, cols):
+    """The library's tiled GEMM helper, into a fresh array."""
+    out = np.empty((w.shape[0], cols.shape[1]), dtype=cols.dtype)
+    _gemm(w, cols, out)
     return out
+
+
+def conv_patches(x, kh, kw, padding, groups, stride):
+    """Per group, the (C/g * kh * kw, N * H_out * W_out) patch matrix: rows
+    in (channel, tap row, tap column) order, columns in (image, output row,
+    output column) order, sampled at the stride."""
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, ho, wo = win.shape[:4]
+    cg = c // groups
+    return [win[:, gi * cg:(gi + 1) * cg].transpose(1, 4, 5, 0, 2, 3).reshape(cg * kh * kw, -1)
+            for gi in range(groups)], (n, ho, wo)
 
 
 def test_conv_all_ones_counts_window_overlap():
@@ -101,10 +99,11 @@ def test_conv_matches_loop_reference():
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
 
-def test_conv_bytes_equal_channel_order_oracle():
-    # the kernel adds exactly what the oracle adds, in the same order, so the
-    # bytes agree; covers strides, groups, padding, batch sizes, one-pixel
-    # outputs, signed zeros and both dtypes
+def test_conv_bytes_equal_gemm_on_patch_matrix():
+    # conv2d is the tiled GEMM on the patch matrix, one call per group, with
+    # the bias added last; grouped_fc over the patch rows is the same GEMM,
+    # so it gives the same bytes too. Covers strides, groups, padding, batch
+    # sizes, one-pixel outputs, signed zeros and both dtypes
     rng = np.random.default_rng(103)
     cases = [
         # (n, cg, og, g, kh, kw, h, w, padding, stride)
@@ -119,6 +118,8 @@ def test_conv_bytes_equal_channel_order_oracle():
         (1, 33, 2, 2, 3, 3, 3, 3, (0, 0), 1),    # valid conv to one pixel
         (3, 40, 2, 1, 1, 1, 2, 2, (0, 0), 2),    # stride to one pixel per image
         (1, 9, 2, 2, 3, 3, 1, 1, (1, 1), 2),     # padded one-pixel input
+        (4, 70, 3, 1, 1, 1, 3, 3, (0, 0), 1),    # K over one chunk, M over one tile
+        (2, 16, 5, 2, 3, 3, 5, 6, (1, 1), 1),    # K = 144, three chunks
     ]
     for dtype in (np.float32, np.float64):
         for n, cg, og, g, kh, kw, h, w, pad, s in cases:
@@ -126,12 +127,78 @@ def test_conv_bytes_equal_channel_order_oracle():
             x[rng.random(x.shape) < 0.2] = -0.0
             kernel = rng.normal(size=(og * g, cg, kh, kw)).astype(dtype)
             kernel[rng.random(kernel.shape) < 0.2] = -0.0
+            patches, (_, ho, wo) = conv_patches(x, kh, kw, pad, g, s)
+            flat = kernel.reshape(og * g, -1)
             for bias in (None, rng.normal(size=og * g).astype(dtype)):
                 got = conv2d(x, ConvSpec(kernel, bias, pad, g, s))
-                want = conv_channel_order(x, kernel, bias, pad, g, s)
+                want = np.concatenate([gemm(flat[gi * og:(gi + 1) * og], patches[gi])
+                                       for gi in range(g)])
+                if bias is not None:
+                    want += bias.reshape(-1, 1)
+                want = want.reshape(og * g, n, ho, wo).transpose(1, 0, 2, 3)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.flags.c_contiguous
-                assert got.tobytes() == want.tobytes(), (dtype, n, cg, og, g, kh, kw, s)
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes(), \
+                    (dtype, n, cg, og, g, kh, kw, s)
+                rows = np.concatenate([p.T for p in patches], axis=1)
+                fc = grouped_fc(rows, FcSpec(flat, bias, g, rows.shape[1], og * g))
+                assert fc.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2).tobytes() == got.tobytes()
+
+
+def test_gemm_sums_kc_chunks_by_fixed_pairwise_tree():
+    # the helper's order written out for one tile: KC-long BLAS products,
+    # then a pairwise tree over them (7 chunks: ((0+1)+(2+3)) + ((4+5)+6));
+    # columns past the last tile's end are zeros and do not touch the rest
+    rng = np.random.default_rng(104)
+    for dtype in (np.float32, np.float64):
+        for k, tree in ((KC, lambda p: p[0]),
+                        (2 * KC + 5, lambda p: (p[0] + p[1]) + p[2]),
+                        (7 * KC - 3, lambda p: ((p[0] + p[1]) + (p[2] + p[3]))
+                         + ((p[4] + p[5]) + p[6]))):
+            w = rng.normal(size=(5, k)).astype(dtype)
+            cols = rng.normal(size=(k, TILE + 7)).astype(dtype)
+            got = gemm(w, cols)
+            for start, width in ((0, TILE), (TILE, 7)):
+                tile = np.zeros((k, TILE), dtype=dtype)
+                tile[:, :width] = cols[:, start:start + width]
+                parts = [w[:, k0:k0 + KC] @ tile[k0:k0 + KC] for k0 in range(0, k, KC)]
+                want = tree(parts)[:, :width]
+                assert got[:, start:start + width].tobytes() == want.tobytes(), (dtype, k)
+
+
+@pytest.mark.parametrize("op, k", [("fc", 392), ("conv", 2048), ("fc", 16384)],
+                         ids=["c3-fc3", "c5-conv", "gp-fc2"])
+def test_blocked_sum_within_error_bound(op, k):
+    # KC-long BLAS dot products added by a pairwise tree of depth
+    # ceil(log2(ceil(K / KC))) err by at most gamma_n |w|^T |x| per element,
+    # n = KC + that depth (Blanchard, Higham and Mary 2020; Higham, Accuracy
+    # and Stability of Numerical Algorithms, 3.1), against a float64
+    # reference that itself errs by at most gamma_K in float64
+    rng = np.random.default_rng(k)
+
+    def gamma(n, u):
+        return n * u / (1 - n * u)
+
+    if op == "fc":
+        rows = 70 if k < 16384 else 8
+        v = rng.uniform(0.0, 1.0, (rows, 2 * k)).astype(np.float32)
+        kernel = rng.uniform(-0.2, 1.0, (6, k)).astype(np.float32)
+        got = grouped_fc(v, FcSpec(kernel, None, 2, 2 * k, 6)).astype(np.float64)
+        v64, k64 = v.astype(np.float64), kernel.astype(np.float64)
+        want = np.hstack([v64[:, :k] @ k64[:3].T, v64[:, k:] @ k64[3:].T])
+        scale = np.hstack([v64[:, :k] @ np.abs(k64[:3]).T, v64[:, k:] @ np.abs(k64[3:]).T])
+    else:
+        x = rng.uniform(0.0, 1.0, (1, k, 3, 3)).astype(np.float32)
+        kernel = rng.uniform(-0.2, 1.0, (4, k, 1, 1)).astype(np.float32)
+        got = conv2d(x, ConvSpec(kernel, None, (0, 0), 1)).astype(np.float64)
+        x64, k64 = x.astype(np.float64), kernel.astype(np.float64)
+        want = conv_loops(x64, k64, (0, 0), 1)
+        scale = conv_loops(np.abs(x64), np.abs(k64), (0, 0), 1)
+    depth = int(np.ceil(np.log2(-(-k // KC)))) if k > KC else 0
+    bound = (gamma(KC + depth, 2.0 ** -24) + gamma(k, 2.0 ** -53)) * scale
+    err = np.abs(got - want)
+    assert np.all(err <= bound), float(np.max(err / bound))
+    assert np.max(err) > 0  # the float32 sums really rounded
 
 
 def test_conv_group_split_matches_stacked_dense():
@@ -212,7 +279,7 @@ def test_grouped_fc_equals_grouped_one_by_one_conv():
         fc = grouped_fc(v, FcSpec(kernel, bias, g, p, q))
         conv = conv2d(v.reshape(3, p, 1, 1),
                       ConvSpec(kernel.reshape(q, p // g, 1, 1), bias, (0, 0), g))
-        np.testing.assert_allclose(fc, conv.reshape(3, q), atol=1e-12, rtol=0)
+        np.testing.assert_array_equal(fc, conv.reshape(3, q))
 
 
 def test_grouped_fc_validation():
@@ -318,8 +385,11 @@ def test_partition_rejects_non_divisible():
 
 def test_kernels_bitwise_under_batch_split():
     # a batch split by hand and concatenated must equal the whole batch bit
-    # for bit, for the conv and the grouped FC kernel alike; the strided and
-    # the one-pixel-output convs split down to a single output pixel
+    # for bit, for the conv and the grouped FC kernel alike: every GEMM runs
+    # in fixed tiles of TILE output positions, so a split only moves where a
+    # position sits in its tile. The strided and the one-pixel-output convs
+    # split down to a single output pixel; the FC with K over KC and a
+    # ragged last tile splits around one tile
     rng = np.random.default_rng(11)
     x = rng.normal(size=(10, 4, 6, 6)).astype(np.float32)
     conv = ConvSpec(rng.normal(size=(6, 2, 3, 3)).astype(np.float32),
@@ -328,14 +398,28 @@ def test_kernels_bitwise_under_batch_split():
     pixels = rng.normal(size=(10, 256, 1, 1)).astype(np.float32)
     one_pixel = ConvSpec(rng.normal(size=(8, 256, 1, 1)).astype(np.float32),
                          rng.normal(size=8).astype(np.float32), (0, 0), 1)
+    # 7 images of 5 x 5 outputs: 175 positions, so image edges fall inside
+    # tiles and the last tile is ragged
+    x7 = rng.normal(size=(7, 20, 7, 7)).astype(np.float32)
+    crossing = ConvSpec(rng.normal(size=(5, 20, 3, 3)).astype(np.float32),
+                        rng.normal(size=5).astype(np.float32), (0, 0), 1)
     v = x.reshape(10, -1)
     fc = FcSpec(rng.normal(size=(48, 36)).astype(np.float32),
                 rng.normal(size=48).astype(np.float32), 4, 144, 48)
-    for op, inp in ((lambda b: conv2d(b, conv), x), (lambda b: conv2d(b, strided), x),
-                    (lambda b: conv2d(b, one_pixel), pixels),
-                    (lambda b: grouped_fc(b, fc), v)):
+    v70 = rng.normal(size=(70, 784)).astype(np.float32)
+    fc392 = FcSpec(rng.normal(size=(16, 392)).astype(np.float32),
+                   rng.normal(size=16).astype(np.float32), 2, 784, 16)
+    assert 392 % KC and 70 % TILE and 7 * 5 * 5 % TILE
+    small = (1, 3, 4, 10, 16)
+    for op, inp, chunks in ((lambda b: conv2d(b, conv), x, small),
+                            (lambda b: conv2d(b, strided), x, small),
+                            (lambda b: conv2d(b, one_pixel), pixels, small),
+                            (lambda b: conv2d(b, crossing), x7, (1, 2, 3, 7)),
+                            (lambda b: grouped_fc(b, fc), v, small),
+                            (lambda b: grouped_fc(b, fc392), v70,
+                             (1, TILE - 1, TILE, TILE + 1, 70))):
         whole = op(inp)
-        for chunk in (1, 3, 4, 10, 16):
+        for chunk in chunks:
             parts = [op(inp[i:i + chunk]) for i in range(0, len(inp), chunk)]
             assert np.array_equal(np.concatenate(parts), whole), chunk
 

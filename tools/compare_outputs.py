@@ -19,7 +19,9 @@ child process per tree). Compared artefacts, all from fixed seeds:
   entries (no 1x1 branch, whose +0.0 fill off the diagonal would turn every
   -0.0 sum into +0.0; this block's fc3 kernel holds about a hundred -0.0).
 
-Prints one sha256 line per artefact and tree; exits 1 if any differ.
+Prints one line per artefact with both trees' sha256; a differing .npy
+array also gets its max relative difference, and a differing text report
+the number of its lines that differ. Exits 1 if any artefact differs.
 A full run takes about 20 s per tree on a 2-vCPU machine.
 """
 
@@ -82,16 +84,35 @@ def write_artefacts(out: str) -> None:
             fh.write(fc3.kernel.tobytes() + fc3.bias.tobytes())
 
 
-def digests(tree: str) -> dict[str, str]:
-    with tempfile.TemporaryDirectory() as out:
-        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-        subprocess.run([sys.executable, os.path.abspath(__file__), "--write", out],
-                       env=env, check=True)
-        result = {}
-        for name in sorted(os.listdir(out)):
-            with open(os.path.join(out, name), "rb") as fh:
-                result[name] = hashlib.sha256(fh.read()).hexdigest()
-        return result
+def write_tree(tree: str, out: str) -> None:
+    """Write the artefacts of tree's library into out, in a child process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--write", out],
+                   env=env, check=True)
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def drift(old: str, new: str) -> str:
+    """How far a differing artefact moved: the max relative difference of an
+    .npy array (max |new - old| over max |old|), the differing lines of a
+    text report; nothing for other binaries."""
+    if old.endswith(".npy"):
+        import numpy as np
+
+        a, b = np.load(old).astype(np.float64), np.load(new).astype(np.float64)
+        if a.shape != b.shape:
+            return f" (shape {a.shape} -> {b.shape})"
+        return f" (max rel diff {np.max(np.abs(b - a)) / np.max(np.abs(a)):.3e})"
+    if old.endswith(".txt"):
+        with open(old) as fa, open(new) as fb:
+            a, b = fa.read().splitlines(), fb.read().splitlines()
+        lines = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+        return f" ({lines} of {len(a)} lines differ)"
+    return ""
 
 
 def main(argv: list[str]) -> int:
@@ -101,15 +122,25 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    old, new = digests(argv[0]), digests(argv[1])
-    differ = sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
-    for name in sorted(old.keys() | new.keys()):
-        mark = "DIFFER" if name in differ else "same"
-        print(f"{mark:6s} {name} old={old.get(name)} new={new.get(name)}")
+    with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
+        write_tree(argv[0], old_dir)
+        write_tree(argv[1], new_dir)
+        names = sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir)))
+        differ = []
+        for name in names:
+            old, new = os.path.join(old_dir, name), os.path.join(new_dir, name)
+            old_sha = sha256(old) if os.path.exists(old) else None
+            new_sha = sha256(new) if os.path.exists(new) else None
+            if old_sha == new_sha:
+                print(f"same   {name} old={old_sha} new={new_sha}")
+                continue
+            differ.append(name)
+            how = drift(old, new) if old_sha and new_sha else ""
+            print(f"DIFFER {name} old={old_sha} new={new_sha}{how}")
     if differ:
         print(f"{len(differ)} artefacts differ: {', '.join(differ)}")
         return 1
-    print(f"all {len(old)} artefacts identical")
+    print(f"all {len(names)} artefacts identical")
     return 0
 
 
