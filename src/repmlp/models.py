@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .block import RepMLPConfig, forward_train, random_bn, random_train_weights
 from .reparam import convert_block, forward_infer, fuse_bn_into_conv
@@ -36,6 +35,7 @@ from .tensor import (
     ConvSpec,
     FcSpec,
     ShapeError,
+    _is_int,
     avg_pool_global,
     batchnorm_inference,
     conv2d,
@@ -92,8 +92,16 @@ def fc_layer(in_dim: int, out_dim: int) -> LayerSpec:
 
 
 def pool_layer(op: str, k: int = 1, stride: int = 1, pad: int = 0) -> LayerSpec:
+    """k, stride and pad are ints with k >= 1, stride >= 1 and
+    0 <= pad <= k // 2, so that every window holds an input pixel."""
     if op not in ("max", "global_avg"):
         raise ShapeError(f"unknown pool op {op!r}")
+    if not (_is_int(k) and k >= 1):
+        raise ShapeError(f"pool k must be an int >= 1, got {k!r}")
+    if not (_is_int(stride) and stride >= 1):
+        raise ShapeError(f"pool stride must be an int >= 1, got {stride!r}")
+    if not (_is_int(pad) and 0 <= pad <= k // 2):
+        raise ShapeError(f"pool pad must be an int in [0, k // 2], got {pad!r}")
     return _layer("pool", op=op, k=k, stride=stride, pad=pad)
 
 
@@ -186,11 +194,16 @@ def _analyze(layers, shape) -> tuple[int, int, tuple]:
             flops += in_dim * out_dim
             shape = ("vec", out_dim)
         elif kind == "pool":
+            if shape[0] != "map":
+                raise ShapeError("pool applied to a non-map input")
             _, c, h, w = shape
             if layer.attr("op") == "global_avg":
                 shape = ("map", c, 1, 1)
             else:
                 k, s, p = (layer.attr(n) for n in ("k", "stride", "pad"))
+                if k > min(h, w) + 2 * p:
+                    raise ShapeError(f"pool window {k} larger than padded map "
+                                     f"({h + 2 * p}, {w + 2 * p})")
                 shape = ("map", c, _pool_out(h, k, s, p), _pool_out(w, k, s, p))
         elif kind == "relu":
             pass
@@ -311,11 +324,22 @@ def convert_model_weights(model: Model, weights: list) -> list:
 
 
 def _max_pool(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """Max over each k x k window at the given stride, padded with the
+    dtype's lowest finite value. The result starts as a copy of the first
+    tap and takes one np.maximum per further tap, in (row, column) order."""
     if pad:
         fill = np.finfo(x.dtype).min
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    return windows.max(axis=(4, 5))
+    hp, wp = x.shape[2:]
+    if k > min(hp, wp):
+        raise ShapeError(f"max pool window {k} larger than padded map ({hp}, {wp})")
+    ho, wo = _pool_out(hp, k, stride, 0), _pool_out(wp, k, stride, 0)
+    taps = [x[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
+            for i in range(k) for j in range(k)]
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    return out
 
 
 def _run_layers(layers, weights, x):

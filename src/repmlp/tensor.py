@@ -7,10 +7,14 @@ mutated and the output dtype always equals the input dtype. Convolution
 has zero padding and an integer stride and runs at its output stride: no
 output that is later discarded is computed.
 
-Convolution and the grouped FC run on one BLAS GEMM helper, _gemm, one
-call per group: a conv multiplies its kernel by a patch matrix with one
-column per output position and one row per (channel, tap row, tap column),
-and an FC multiplies its kernel by the transposed input rows. Its
+Convolution and the grouped FC run on one BLAS GEMM helper, _gemm: a
+conv multiplies its kernel by a patch matrix with one column per output
+position and one row per (channel, tap row, tap column), and an FC
+multiplies its kernel by the transposed input rows. A conv builds that
+matrix one slab of whole images at a time, at most SLAB_BYTES of it (or
+one image), and makes one _gemm call per slab and group into that slab's
+columns of the output, so the patch memory is bounded by the slab and not
+by the batch. The FC makes one call per group. The GEMM's
 summation order is fixed: the output positions are cut into tiles of TILE,
 the dot products into KC-long chunks, each chunk a BLAS dot product, and
 the chunk sums are added by a fixed pairwise tree (blocked summation;
@@ -18,8 +22,8 @@ Blanchard, Higham and Mary, 2020). Each element errs by at most
 gamma_n |w|^T |x| with n = KC + ceil(log2(ceil(K / KC))), where a single
 BLAS chain would allow n = K. Every output position sees the same order
 wherever it falls in its tile, so results are bitwise identical under any
-split of the batch dimension. BLAS picks its kernels by CPU, so the bytes
-are those of one host and BLAS build.
+split of the batch dimension, the conv's slabs included. BLAS picks its
+kernels by CPU, so the bytes are those of one host and BLAS build.
 """
 
 from __future__ import annotations
@@ -36,6 +40,13 @@ FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # 1e-4 verify of the real c3 block at every seed from 1 to 10.
 TILE = 32
 KC = 64
+# Patch-matrix bytes a conv builds and multiplies at a time (see conv2d).
+# On a 2-vCPU Xeon with 2 MiB of L2 per core and one BLAS thread, the
+# pure-mlp-cifar train forward at batch 32 took a median 0.84, 0.63, 0.585,
+# 0.586 and 0.60 s with 256 KiB, 512 KiB, 1, 2 and 4 MiB slabs (20
+# round-robin runs each), and its tracemalloc peak grew with the slab from
+# 16.3 to 20.1 MB; 1 MiB is the smallest of the fastest.
+SLAB_BYTES = 1 << 20
 
 
 class ShapeError(ValueError):
@@ -252,12 +263,14 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Grouped 2-D convolution with zero padding, run at spec.stride.
 
     Output group j reads only input channel group j. A padded input is
-    copied once to channel-major (C, N, H, W) order. For each group, the
-    patch matrix has one row per (channel, tap row, tap column) and one
-    column per output position (image, row, column), built with one copy
-    per tap at the output stride; a 1x1 stride-1 conv reads the
-    channel-major input as it is. One _gemm call per group multiplies the
-    group's kernel by it, the bias is added last, and the result is
+    copied once to channel-major (C, N, H, W) order. The patch matrix of a
+    group has one row per (channel, tap row, tap column) and one column per
+    output position (image, row, column). It is built one slab of whole
+    images at a time, with one copy per tap at the output stride, into one
+    buffer of at most SLAB_BYTES (at least one image) that every slab and
+    group reuses; each slab and group makes one _gemm call into its columns
+    of the result. A 1x1 stride-1 conv reads the channel-major input as it
+    is, one _gemm call per group. The bias is added last, and the result is
     transposed back to (N, C, H, W) once.
     """
     check_feature_map(x)
@@ -283,20 +296,28 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         xc[:, :, ph:ph + h, pw:pw + w] = x.transpose(1, 0, 2, 3)
     m = n * ho * wo
     og = out_ch // g
-    kernel = spec.kernel.reshape(out_ch, cg * kh * kw)
+    k = cg * kh * kw
+    kernel = spec.kernel.reshape(out_ch, k)
     out = np.empty((out_ch, m), dtype=x.dtype)
-    one_by_one = kh == kw == s == 1
-    if not one_by_one:  # one patch buffer, refilled for every group
-        cols = np.empty((cg, kh, kw, n, ho, wo), dtype=x.dtype)
-    for gi in range(g):
-        xg = xc[gi * cg:(gi + 1) * cg]
-        if one_by_one:
-            cols = xg.reshape(cg, m)
-        else:
-            for i in range(kh):
-                for j in range(kw):
-                    cols[:, i, j] = xg[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
-        _gemm(kernel[gi * og:(gi + 1) * og], cols.reshape(-1, m), out[gi * og:(gi + 1) * og])
+    if kh == kw == s == 1:
+        for gi in range(g):
+            _gemm(kernel[gi * og:(gi + 1) * og], xc[gi * cg:(gi + 1) * cg].reshape(cg, m),
+                  out[gi * og:(gi + 1) * og])
+    else:
+        per_image = k * ho * wo
+        nb = min(n, max(1, SLAB_BYTES // (per_image * x.itemsize)))
+        buf = np.empty(nb * per_image, dtype=x.dtype)
+        for n0 in range(0, n, nb):
+            b = min(nb, n - n0)
+            cols = buf[:b * per_image].reshape(cg, kh, kw, b, ho, wo)
+            for gi in range(g):
+                xg = xc[gi * cg:(gi + 1) * cg, n0:n0 + b]
+                for i in range(kh):
+                    for j in range(kw):
+                        cols[:, i, j] = xg[:, :, i:i + s * (ho - 1) + 1:s,
+                                           j:j + s * (wo - 1) + 1:s]
+                _gemm(kernel[gi * og:(gi + 1) * og], cols.reshape(k, b * ho * wo),
+                      out[gi * og:(gi + 1) * og, n0 * ho * wo:(n0 + b) * ho * wo])
     if spec.bias is not None:
         out += spec.bias.reshape(out_ch, 1)
     return np.ascontiguousarray(out.reshape(out_ch, n, ho, wo).transpose(1, 0, 2, 3))

@@ -212,20 +212,34 @@ def test_forward_wide_convnet_and_residual_adds():
 def test_max_pool_matches_manual_windows():
     from repmlp.models import _max_pool
     rng = np.random.default_rng(23)
-    # the res50 stem pool, the CIFAR pool, and an unpadded odd case
-    for k, s, pad in ((3, 2, 1), (2, 2, 0), (3, 2, 0)):
+    # the res50 stem pool, the CIFAR pool, an unpadded odd case, stride-1
+    # pools, and maps whose last window row or column the stride cuts off
+    # (7 rows at k2 s2, 8 columns at k3 s2 p0). Half the maps hold planted
+    # +0.0 / -0.0 ties: of equal maxima, the last in (row, column) tap order
+    # wins, and comparing bytes pins that
+    cases = ((3, 2, 1, 7, 9), (2, 2, 0, 7, 9), (3, 2, 0, 7, 9), (3, 1, 1, 7, 9),
+             (1, 1, 0, 7, 9), (2, 2, 0, 7, 8), (3, 2, 0, 6, 8))
+    for k, s, pad, h, w in cases:
         for dtype in (np.float32, np.float64):
-            x = rng.normal(size=(2, 3, 7, 9)).astype(dtype)
-            got = _max_pool(x, k, s, pad)
-            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                        constant_values=np.finfo(dtype).min)
-            ho, wo = (7 + 2 * pad - k) // s + 1, (9 + 2 * pad - k) // s + 1
-            want = np.empty((2, 3, ho, wo), dtype=dtype)
-            for i in range(ho):
-                for j in range(wo):
-                    want[:, :, i, j] = xp[:, :, s * i:s * i + k, s * j:s * j + k].max(axis=(2, 3))
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (k, s, pad, dtype)
+            for ties in (False, True):
+                x = rng.normal(size=(2, 3, h, w)).astype(dtype)
+                if ties:
+                    x = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0).astype(dtype)
+                    x[rng.random(x.shape) < 0.2] = -1.0
+                    assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+                got = _max_pool(x, k, s, pad)
+                xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                            constant_values=np.finfo(dtype).min)
+                ho, wo = (h + 2 * pad - k) // s + 1, (w + 2 * pad - k) // s + 1
+                want = np.empty((2, 3, ho, wo), dtype=dtype)
+                for i in range(ho):
+                    for j in range(wo):
+                        win = xp[:, :, s * i:s * i + k, s * j:s * j + k].reshape(2, 3, k * k)
+                        is_max = win == win.max(axis=2, keepdims=True)
+                        last = k * k - 1 - np.argmax(is_max[:, :, ::-1], axis=2)
+                        want[:, :, i, j] = np.take_along_axis(win, last[:, :, None], 2)[:, :, 0]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (k, s, pad, h, w, dtype, ties)
 
 
 def test_counting_rejects_mismatched_graphs():
@@ -264,3 +278,24 @@ def test_resnet_alternate_resolution_uses_larger_tiles():
 def test_pool_layer_validation():
     with pytest.raises(ShapeError):
         pool_layer("median", 2, 2)
+    for k, stride, pad in ((2, 0, 0), (0, 1, 0), (2.0, 2, 0), (2, 2.0, 0), (2, 2, 0.0),
+                           (True, 1, 0), (2, True, 0), (3, 1, -1), (3, 1, 2), (1, 1, 1)):
+        with pytest.raises(ShapeError):
+            pool_layer("max", k, stride, pad)
+    assert pool_layer("max", 3, 1, 1).attr("pad") == 1
+
+
+def test_counting_rejects_bad_pools():
+    from repmlp.models import FLATTEN, _max_pool
+    on_vector = Model("pool-on-vector", (3, 8, 8), (FLATTEN, pool_layer("max", 2, 2)))
+    avg_on_vector = Model("avg-on-vector", (3, 8, 8), (FLATTEN, pool_layer("global_avg")))
+    too_wide = Model("too-wide", (3, 4, 4), (pool_layer("max", 5, 1),))
+    for bad in (on_vector, avg_on_vector, too_wide):
+        with pytest.raises(ShapeError):
+            count_flops(bad)
+    # a 5x5 window fits a 4x4 map padded by 2, and a 3x3 pad-1 window a 1x1 map
+    for k, pad, size in ((5, 2, 4), (3, 1, 1)):
+        fits = Model("fits", (3, size, size), (pool_layer("max", k, 1, pad),))
+        assert output_shape(fits) == ("map", 3, size, size)
+    with pytest.raises(ShapeError):
+        _max_pool(np.ones((1, 1, 3, 3), np.float32), 6, 1, 0)

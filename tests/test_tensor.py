@@ -424,6 +424,61 @@ def test_kernels_bitwise_under_batch_split():
             assert np.array_equal(np.concatenate(parts), whole), chunk
 
 
+def test_conv_slabs_give_the_bytes_of_one_slab(monkeypatch):
+    # conv2d builds and multiplies its patch matrix one slab of whole images
+    # at a time. Slabs of 3.5 images' patch bytes split a batch of 8 into 3,
+    # 3 and 2 images, and slabs under one image run image by image; both
+    # must give the bytes of one slab over the whole batch. The _gemm calls
+    # are counted, so a split that did not happen cannot pass
+    from repmlp import tensor
+    rng = np.random.default_rng(31)
+    widths = []
+    gemm_ = tensor._gemm
+
+    def counted_gemm(w, cols, out):
+        widths.append(cols.shape[1])
+        gemm_(w, cols, out)
+
+    monkeypatch.setattr(tensor, "_gemm", counted_gemm)
+    grouped7 = ConvSpec(rng.normal(size=(8, 8, 7, 7)).astype(np.float32),
+                        rng.normal(size=8).astype(np.float32), (3, 3), 2)
+    strided3 = ConvSpec(rng.normal(size=(5, 6, 3, 3)), None, (1, 1), 1, 2)
+    for spec, x, g, positions in ((grouped7, rng.normal(size=(8, 16, 8, 8)).astype(np.float32),
+                                   2, 64),
+                                  (strided3, rng.normal(size=(8, 6, 9, 9)), 1, 25)):
+        per_image = spec.kernel[0].size * positions * x.itemsize
+        monkeypatch.setattr(tensor, "SLAB_BYTES", 8 * per_image)
+        widths.clear()
+        whole = conv2d(x, spec)
+        assert widths == [8 * positions] * g
+        for slab_bytes, images in ((7 * per_image // 2, (3, 3, 2)), (per_image - 1, (1,) * 8)):
+            monkeypatch.setattr(tensor, "SLAB_BYTES", slab_bytes)
+            widths.clear()
+            got = conv2d(x, spec)
+            assert widths == [b * positions for b in images for _ in range(g)]
+            assert got.tobytes() == whole.tobytes(), slab_bytes
+
+
+def test_cifar_train_forward_patch_memory_bounded():
+    # the 7x7 branch patch matrix of the pure-mlp-cifar train form is 51 MB
+    # at batch 32 when built whole; in slabs the forward peaks far lower
+    import tracemalloc
+
+    from repmlp.models import build_pure_mlp_cifar, init_model_weights, run_model
+    model = build_pure_mlp_cifar()
+    rng = np.random.default_rng(5)
+    weights = init_model_weights(model, rng, np.float32)
+    x = rng.uniform(-1, 1, (32,) + model.input_shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_model(model, weights, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / 2 ** 20 < 25
+
+
 def test_kernels_preserve_dtype():
     for dtype in (np.float32, np.float64):
         x = np.ones((1, 2, 4, 4), dtype=dtype)

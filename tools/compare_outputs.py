@@ -7,7 +7,11 @@ child process per tree). Compared artefacts, all from fixed seeds:
 
 * `repmlp verify --grid full` reports in f32 and f64;
 * train-form and deploy-form `run_model` outputs of pure-mlp-cifar and
-  wide-convnet at batch 4 and repmlp-res50 at batch 1 (saved as .npy);
+  wide-convnet at batch 4, repmlp-res50 at batch 1 and pure-mlp-cifar at
+  batch 33 (saved as .npy). At batch 33, with the default SLAB_BYTES,
+  every 3x3, 5x5 and 7x7 branch conv runs in several patch slabs with a
+  ragged last one, and the global-path and head FCs end in a ragged GEMM
+  tile;
 * `repmlp init` and `repmlp convert` checkpoints for three block configs
   (one with an identity global-path nonlinearity, one whose single tile
   covers the image, so it has no global path, with four branches), and
@@ -61,15 +65,16 @@ def write_artefacts(out: str) -> None:
                           "--in-channel", "0", "--out", f"{ckpt}.fc3.txt"])
         for name in models.MODEL_BUILDERS:
             cli.main(["count", name, "--out", os.path.join(out, f"count_{name}.txt")])
-    for name, res, batch in (("pure-mlp-cifar", 32, 4), ("wide-convnet", 32, 4),
-                             ("repmlp-res50", 224, 1)):
+    for name, res, batch, tag in (("pure-mlp-cifar", 32, 4, ""), ("wide-convnet", 32, 4, ""),
+                                  ("repmlp-res50", 224, 1, ""),
+                                  ("pure-mlp-cifar", 32, 33, "_b33")):
         model = models.build_named_model(name, res)
         rng = np.random.default_rng(1234)
         weights = models.init_model_weights(model, rng, np.float32)
         x = rng.uniform(-1, 1, (batch,) + model.input_shape).astype(np.float32)
         deploy_weights = models.convert_model_weights(model, weights)
-        np.save(os.path.join(out, f"{name}_train.npy"), models.run_model(model, weights, x))
-        np.save(os.path.join(out, f"{name}_deploy.npy"),
+        np.save(os.path.join(out, f"{name}{tag}_train.npy"), models.run_model(model, weights, x))
+        np.save(os.path.join(out, f"{name}{tag}_deploy.npy"),
                 models.run_model(models.convert_graph(model), deploy_weights, x))
     cfg = block.RepMLPConfig(4, 4, 12, 10, 6, 5, groups=2, branch_kernels=(3, 5))
     for dtype in (np.float32, np.float64):
