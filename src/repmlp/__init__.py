@@ -29,8 +29,6 @@ from .models import (
     block_params,
     build_named_model,
     build_pure_mlp_cifar,
-    build_repmlp_light_resnet50,
-    build_repmlp_resnet50,
     build_resnet50,
     build_wide_convnet,
     convert_graph,
@@ -94,8 +92,6 @@ __all__ = [
     "build_grid",
     "build_named_model",
     "build_pure_mlp_cifar",
-    "build_repmlp_light_resnet50",
-    "build_repmlp_resnet50",
     "build_resnet50",
     "build_wide_convnet",
     "check_block_input",

@@ -30,7 +30,6 @@ from .checkpoint import (
 from .models import (
     MODEL_BUILDERS,
     block_params,
-    build_named_model,
     convert_graph,
     count_flops,
     count_params,
@@ -72,12 +71,10 @@ def _human(n: int) -> str:
 
 
 def _cmd_count(args) -> int:
-    res = args.input_res
-    if res is None:
-        res = 32 if args.model in ("pure-mlp-cifar", "wide-convnet") else 224
-    model = build_named_model(args.model, res)
+    build = MODEL_BUILDERS[args.model]
+    model = build() if args.input_res is None else build(input_res=args.input_res)
     deploy = convert_graph(model)
-    lines = [f"model={model.name} input=3x{res}x{res}"]
+    lines = [f"model={model.name} input={'x'.join(map(str, model.input_shape))}"]
     for label, m in (("train", model), ("deploy", deploy)):
         p, f = count_params(m), count_flops(m)
         lines.append(f"{label:6s} params={p} ({_human(p)}) flops={f} ({_human(f)})")

@@ -16,7 +16,7 @@ are free.
 The hidden width of the per-tile global-path MLP is a calibration knob:
 published totals for this family pin every other dimension but not that
 width. Calibrated fixtures live in PURE_MLP_GP_WIDTH (flat width for the
-CIFAR MLP) and resnet_gp_width (width C * num_parts^2 for the ImageNet
+CIFAR MLP) and _repmlp_bottleneck (width C * num_parts^2 for the ImageNet
 variants, which reproduces published parameter totals to within 0.2%; the
 per-tile MLP then costs num_parts times more FLOPs per parameter than the
 published FLOP totals imply, an overshoot of 2.5-3.6% on stages with 16
@@ -26,6 +26,7 @@ tiles, reported rather than hidden).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,11 +47,6 @@ LAYER_KINDS = ("conv", "fc", "pool", "relu", "flatten", "add",
                "repmlp_train", "repmlp_infer")
 
 PURE_MLP_GP_WIDTH = 832
-
-
-def resnet_gp_width(channels: int, num_parts: int) -> int:
-    """Calibrated global-path hidden width for the ImageNet variants."""
-    return channels * num_parts * num_parts
 
 
 @dataclass(frozen=True)
@@ -78,16 +74,29 @@ def _layer(kind: str, children: tuple = (), **attrs) -> LayerSpec:
     return LayerSpec(kind=kind, attrs=tuple(attrs.items()), children=children)
 
 
+def _require_ints(layer: str, minimum: int, **values) -> None:
+    for name, value in values.items():
+        if not (_is_int(value) and value >= minimum):
+            raise ShapeError(f"{layer} {name} must be an int >= {minimum}, got {value!r}")
+
+
 def conv_layer(in_ch: int, out_ch: int, k: int, stride: int = 1, pad: int = 0,
                groups: int = 1, bn: bool = True) -> LayerSpec:
     """bn=True is the train form (a bias-free conv followed by its BN);
-    bn=False is the deploy form (a conv with a bias)."""
+    bn=False is the deploy form (a conv with a bias). in_ch, out_ch, k,
+    stride and groups are ints >= 1, pad an int >= 0, and groups divides
+    both channel counts."""
+    _require_ints("conv", 1, in_ch=in_ch, out_ch=out_ch, k=k, stride=stride, groups=groups)
+    _require_ints("conv", 0, pad=pad)
+    if in_ch % groups or out_ch % groups:
+        raise ShapeError(f"conv groups {groups} must divide in_ch {in_ch} and out_ch {out_ch}")
     return _layer("conv", in_ch=in_ch, out_ch=out_ch, k=k, stride=stride,
                   pad=pad, groups=groups, bn=bn)
 
 
 def fc_layer(in_dim: int, out_dim: int) -> LayerSpec:
-    """A dense FC with a bias."""
+    """A dense FC with a bias; both dims are ints >= 1."""
+    _require_ints("fc", 1, in_dim=in_dim, out_dim=out_dim)
     return _layer("fc", in_dim=in_dim, out_dim=out_dim)
 
 
@@ -96,10 +105,7 @@ def pool_layer(op: str, k: int = 1, stride: int = 1, pad: int = 0) -> LayerSpec:
     0 <= pad <= k // 2, so that every window holds an input pixel."""
     if op not in ("max", "global_avg"):
         raise ShapeError(f"unknown pool op {op!r}")
-    if not (_is_int(k) and k >= 1):
-        raise ShapeError(f"pool k must be an int >= 1, got {k!r}")
-    if not (_is_int(stride) and stride >= 1):
-        raise ShapeError(f"pool stride must be an int >= 1, got {stride!r}")
+    _require_ints("pool", 1, k=k, stride=stride)
     if not (_is_int(pad) and 0 <= pad <= k // 2):
         raise ShapeError(f"pool pad must be an int in [0, k // 2], got {pad!r}")
     return _layer("pool", op=op, k=k, stride=stride, pad=pad)
@@ -168,6 +174,14 @@ def _pool_out(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
+def _window_out(kind: str, h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
+    """Output size of k x k windows over an (h, w) map padded by pad."""
+    if k > min(h, w) + 2 * pad:
+        raise ShapeError(f"{kind} window {k} larger than padded map "
+                         f"({h + 2 * pad}, {w + 2 * pad})")
+    return _pool_out(h, k, stride, pad), _pool_out(w, k, stride, pad)
+
+
 def _analyze(layers, shape) -> tuple[int, int, tuple]:
     params = 0
     flops = 0
@@ -181,7 +195,7 @@ def _analyze(layers, shape) -> tuple[int, int, tuple]:
             if c != in_ch:
                 raise ShapeError(f"conv expects {in_ch} channels, got {c}")
             k, s, p, g = (layer.attr(n) for n in ("k", "stride", "pad", "groups"))
-            ho, wo = _pool_out(h, k, s, p), _pool_out(w, k, s, p)
+            ho, wo = _window_out("conv", h, w, k, s, p)
             weights = out_ch * (in_ch // g) * k * k
             params += weights + out_ch * (2 if layer.attr("bn") else 1)
             flops += weights * ho * wo
@@ -201,10 +215,7 @@ def _analyze(layers, shape) -> tuple[int, int, tuple]:
                 shape = ("map", c, 1, 1)
             else:
                 k, s, p = (layer.attr(n) for n in ("k", "stride", "pad"))
-                if k > min(h, w) + 2 * p:
-                    raise ShapeError(f"pool window {k} larger than padded map "
-                                     f"({h + 2 * p}, {w + 2 * p})")
-                shape = ("map", c, _pool_out(h, k, s, p), _pool_out(w, k, s, p))
+                shape = ("map", c) + _window_out("pool", h, w, k, s, p)
         elif kind == "relu":
             pass
         elif kind == "flatten":
@@ -389,75 +400,43 @@ def _conv_bn_relu(in_ch, out_ch, k, stride=1, pad=0, relu=True):
     return [conv_layer(in_ch, out_ch, k, stride, pad)] + ([RELU] if relu else [])
 
 
-def _cifar_block_cfg(channels: int, res: int) -> RepMLPConfig:
-    return RepMLPConfig(
-        in_channels=channels, out_channels=channels, height=res, width=res,
-        part_h=8, part_w=8, groups=2, branch_kernels=(1, 3, 5, 7),
-        gp_internal_dim=PURE_MLP_GP_WIDTH)
-
-
-def build_pure_mlp_cifar(input_res: int = 32, num_classes: int = 10) -> Model:
-    """All-FC CIFAR classifier: three stages of blocks interleaved with 1x1
-    FC projections, max-pool downsampling, 8x8 tiles, 2 FC groups."""
+def _cifar_net(name: str, chans: tuple[int, ...], unit, input_res: int) -> Model:
+    """The CIFAR skeleton: a 1x1 stem, then per stage unit, a 1x1 conv and
+    unit again, with a 1x1 widening and a 2x2 max-pool between stages, and
+    a 10-way FC head. unit(c, res) is the stage body at c channels."""
     if input_res != 32:
-        raise ShapeError("the CIFAR MLP is defined for 32x32 inputs")
-    chans = (16, 32, 64)
-    layers: list[LayerSpec] = []
-    layers += _conv_bn_relu(3, chans[0], 1)
+        raise ShapeError(f"{name} is defined for 32x32 inputs")
+    layers = _conv_bn_relu(3, chans[0], 1)
     res = input_res
     for si, c in enumerate(chans):
-        cfg = _cifar_block_cfg(c, res)
-        layers += [repmlp_layer(cfg), RELU]
-        layers += _conv_bn_relu(c, c, 1)
-        layers += [repmlp_layer(cfg), RELU]
-        if si < 2:
-            layers += _conv_bn_relu(c, chans[si + 1], 1)
-            layers.append(pool_layer("max", 2, 2))
+        body = unit(c, res)
+        layers += body + _conv_bn_relu(c, c, 1) + body
+        if si + 1 < len(chans):
+            layers += _conv_bn_relu(c, chans[si + 1], 1) + [pool_layer("max", 2, 2)]
             res //= 2
-    layers.append(FLATTEN)
-    layers.append(fc_layer(chans[-1] * res * res, num_classes))
-    return Model("pure-mlp-cifar", (3, input_res, input_res), tuple(layers))
+    layers += [FLATTEN, fc_layer(chans[-1] * res * res, 10)]
+    return Model(name, (3, input_res, input_res), tuple(layers))
 
 
-def build_wide_convnet(input_res: int = 32, num_classes: int = 10) -> Model:
-    """Conv counterpart of the CIFAR MLP: same skeleton, doubled channels,
-    each block replaced by a 3x3 conv."""
-    if input_res != 32:
-        raise ShapeError("the wide convnet is defined for 32x32 inputs")
-    chans = (32, 64, 128)
-    layers: list[LayerSpec] = []
-    layers += _conv_bn_relu(3, chans[0], 1)
-    res = input_res
-    for si, c in enumerate(chans):
-        layers += _conv_bn_relu(c, c, 3, pad=1)
-        layers += _conv_bn_relu(c, c, 1)
-        layers += _conv_bn_relu(c, c, 3, pad=1)
-        if si < 2:
-            layers += _conv_bn_relu(c, chans[si + 1], 1)
-            layers.append(pool_layer("max", 2, 2))
-            res //= 2
-    layers.append(FLATTEN)
-    layers.append(fc_layer(chans[-1] * res * res, num_classes))
-    return Model("wide-convnet", (3, input_res, input_res), tuple(layers))
+def build_pure_mlp_cifar(input_res: int = 32) -> Model:
+    """All-FC CIFAR classifier: each stage body is a block (8x8 tiles,
+    2 FC groups, branches {1,3,5,7}) and a ReLU."""
+    def unit(c, res):
+        cfg = RepMLPConfig(c, c, res, res, 8, 8, groups=2, branch_kernels=(1, 3, 5, 7),
+                           gp_internal_dim=PURE_MLP_GP_WIDTH)
+        return [repmlp_layer(cfg), RELU]
+    return _cifar_net("pure-mlp-cifar", (16, 32, 64), unit, input_res)
 
 
-@dataclass(frozen=True)
-class BottleneckConfig:
-    """Per-stage replacement recipe for the 50-layer residual net."""
-
-    variant: str = "original"       # original | repmlp_bottleneck | repmlp_light
-    reduction: int = 4              # r: extra channel squeeze around the block
-    groups: int = 8                 # block FC groups
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("original", "repmlp_bottleneck", "repmlp_light"):
-            raise ShapeError(f"unknown bottleneck variant {self.variant!r}")
-        if self.reduction not in (2, 4, 8):
-            raise ShapeError("reduction must be 2, 4, or 8")
+def build_wide_convnet(input_res: int = 32) -> Model:
+    """Conv counterpart of the CIFAR MLP: doubled channels, each block
+    replaced by a 3x3 conv."""
+    return _cifar_net("wide-convnet", (32, 64, 128),
+                      lambda c, res: _conv_bn_relu(c, c, 3, pad=1), input_res)
 
 
-_RESNET50_BLOCKS = {"c2": 3, "c3": 4, "c4": 6, "c5": 3}
-_RESNET50_PLANES = {"c2": 64, "c3": 128, "c4": 256, "c5": 512}
+# stage: (bottlenecks, planes) of the 50-layer residual net
+_RESNET50_STAGES = {"c2": (3, 64), "c3": (4, 128), "c4": (6, 256), "c5": (3, 512)}
 
 
 def _original_bottleneck(in_ch: int, planes: int, stride: int) -> list[LayerSpec]:
@@ -472,114 +451,85 @@ def _original_bottleneck(in_ch: int, planes: int, stride: int) -> list[LayerSpec
     return [add_layer(body, shortcut), RELU]
 
 
-def _block_cfg(channels: int, res: int, tile: int, groups: int,
-               branch_kernels: tuple[int, ...]) -> RepMLPConfig:
-    parts = (res // tile) * (res // tile)
-    return RepMLPConfig(
-        in_channels=channels, out_channels=channels, height=res, width=res,
-        part_h=tile, part_w=tile, groups=groups, branch_kernels=branch_kernels,
-        gp_internal_dim=resnet_gp_width(channels, parts))
+def _repmlp_bottleneck(in_ch: int, planes: int, reduction: int | str, res: int, tile: int,
+                       branch_kernels: tuple[int, ...]) -> list[LayerSpec]:
+    """A stride-1 bottleneck whose middle is a block with 8 FC groups.
 
-
-def _repmlp_bottleneck(in_ch: int, planes: int, bc: BottleneckConfig, res: int,
-                       tile: int, branch_kernels) -> list[LayerSpec]:
-    mid = planes // bc.reduction
-    if mid < 1 or planes % bc.reduction:
-        raise ShapeError(f"reduction {bc.reduction} does not divide planes {planes}")
-    cfg = _block_cfg(mid, res, tile, bc.groups, branch_kernels)
-    body = (_conv_bn_relu(in_ch, planes, 1)
-            + _conv_bn_relu(planes, mid, 3, pad=1)
-            + [repmlp_layer(cfg), RELU]
-            + _conv_bn_relu(mid, planes, 3, pad=1)
-            + _conv_bn_relu(planes, 4 * planes, 1, relu=False))
+    An int reduction r squeezes planes to planes / r with a 3x3 conv on
+    either side of the block; "light" squeezes in_ch 8x with 1x1 convs only.
+    The global-path width is C * num_parts^2, the calibration fixture."""
+    mid = in_ch // 8 if reduction == "light" else planes // reduction
+    parts = (res // tile) ** 2
+    cfg = RepMLPConfig(mid, mid, res, res, tile, tile, groups=8, branch_kernels=branch_kernels,
+                       gp_internal_dim=mid * parts * parts)
+    block = [repmlp_layer(cfg), RELU]
+    if reduction == "light":
+        body = _conv_bn_relu(in_ch, mid, 1) + block + _conv_bn_relu(mid, in_ch, 1, relu=False)
+    else:
+        body = (_conv_bn_relu(in_ch, planes, 1)
+                + _conv_bn_relu(planes, mid, 3, pad=1)
+                + block
+                + _conv_bn_relu(mid, planes, 3, pad=1)
+                + _conv_bn_relu(planes, in_ch, 1, relu=False))
     return [add_layer(body, []), RELU]
 
 
-def _light_block(in_ch: int, bc: BottleneckConfig, res: int, tile: int,
-                 branch_kernels) -> list[LayerSpec]:
-    mid = in_ch // 8
-    cfg = _block_cfg(mid, res, tile, bc.groups, branch_kernels)
-    body = (_conv_bn_relu(in_ch, mid, 1)
-            + [repmlp_layer(cfg), RELU]
-            + _conv_bn_relu(mid, in_ch, 1, relu=False))
-    return [add_layer(body, []), RELU]
-
-
-def build_resnet50(stage_variants: dict[str, BottleneckConfig] | None = None,
-                   input_res: int = 224, num_classes: int = 1000) -> Model:
+def build_resnet50(stages: dict[str, int | str] | None = None,
+                   input_res: int = 224) -> Model:
     """50-layer residual net with optional per-stage block replacement.
 
-    Only non-downsampling bottlenecks (stride 1, matching channels) are
+    stages maps a stage name (c2 to c5) to the reduction r in {2, 4, 8} of
+    its RepMLP bottlenecks, or to "light" for the light block. Only
+    non-downsampling bottlenecks (stride 1, matching channels) are
     replaced; the first bottleneck of each stage stays original. Tiles are
     7x7 with branch kernels {1,3,5} at 224 input, 10x10 with {1,3,5,7} at
     320.
     """
-    stage_variants = stage_variants or {}
+    stages = stages or {}
+    for stage, reduction in stages.items():
+        if stage not in _RESNET50_STAGES:
+            raise ShapeError(f"unknown stage {stage!r}; stages are c2, c3, c4, c5")
+        if reduction != "light" and not (_is_int(reduction) and reduction in (2, 4, 8)):
+            raise ShapeError(f"stage {stage} reduction must be 2, 4, 8 or 'light', "
+                             f"got {reduction!r}")
     if input_res < 32 or input_res % 32:
         raise ShapeError("input resolution must be a positive multiple of 32")
     tile, branch_kernels = (10, (1, 3, 5, 7)) if input_res >= 320 else (7, (1, 3, 5))
-    layers: list[LayerSpec] = []
-    layers += _conv_bn_relu(3, 64, 7, 2, 3)
-    layers.append(pool_layer("max", 3, 2, 1))
+    layers = _conv_bn_relu(3, 64, 7, 2, 3) + [pool_layer("max", 3, 2, 1)]
     res = input_res // 4
     in_ch = 64
-    for stage in ("c2", "c3", "c4", "c5"):
-        planes = _RESNET50_PLANES[stage]
+    for stage, (blocks, planes) in _RESNET50_STAGES.items():
         stride = 1 if stage == "c2" else 2
         res //= stride
-        bc = stage_variants.get(stage, BottleneckConfig())
-        if bc.variant != "original" and res % tile:
+        reduction = stages.get(stage)
+        if reduction is not None and res % tile:
             raise ShapeError(f"stage {stage} resolution {res} not divisible by tile {tile}")
         layers += _original_bottleneck(in_ch, planes, stride)
         in_ch = 4 * planes
-        for _ in range(_RESNET50_BLOCKS[stage] - 1):
-            if bc.variant == "original":
+        for _ in range(blocks - 1):
+            if reduction is None:
                 layers += _original_bottleneck(in_ch, planes, 1)
-            elif bc.variant == "repmlp_bottleneck":
-                layers += _repmlp_bottleneck(in_ch, planes, bc, res, tile, branch_kernels)
             else:
-                layers += _light_block(in_ch, bc, res, tile, branch_kernels)
-    layers.append(pool_layer("global_avg"))
-    layers.append(FLATTEN)
-    layers.append(fc_layer(in_ch, num_classes))
-    name = "resnet50"
-    if stage_variants:
-        tags = []
-        for stage in ("c2", "c3", "c4", "c5"):
-            if stage in stage_variants:
-                bc = stage_variants[stage]
-                kind = "light" if bc.variant == "repmlp_light" else "repmlp"
-                tags.append(f"{stage}-{kind}-r{bc.reduction}g{bc.groups}")
-        name += "[" + ",".join(tags) + "]"
+                layers += _repmlp_bottleneck(in_ch, planes, reduction, res, tile, branch_kernels)
+    layers += [pool_layer("global_avg"), FLATTEN, fc_layer(in_ch, 1000)]
+    # the light tag keeps r4, the reduction its name has always carried
+    tags = [f"{stage}-light-r4g8" if stages[stage] == "light"
+            else f"{stage}-repmlp-r{stages[stage]}g8"
+            for stage in _RESNET50_STAGES if stage in stages]
+    name = f"resnet50[{','.join(tags)}]" if tags else "resnet50"
     return Model(name, (3, input_res, input_res), tuple(layers))
-
-
-def build_repmlp_resnet50(input_res: int = 224, num_classes: int = 1000) -> Model:
-    """The main ImageNet variant: blocks in stages c3 (r=2) and c4 (r=4), g=8."""
-    return build_resnet50({
-        "c3": BottleneckConfig("repmlp_bottleneck", reduction=2, groups=8),
-        "c4": BottleneckConfig("repmlp_bottleneck", reduction=4, groups=8),
-    }, input_res, num_classes)
-
-
-def build_repmlp_light_resnet50(input_res: int = 224, num_classes: int = 1000) -> Model:
-    """Light variant: c3 and c4 blocks with 8x 1x1 squeeze and no 3x3 convs."""
-    return build_resnet50({
-        "c3": BottleneckConfig("repmlp_light", groups=8),
-        "c4": BottleneckConfig("repmlp_light", groups=8),
-    }, input_res, num_classes)
 
 
 MODEL_BUILDERS = {
     "pure-mlp-cifar": build_pure_mlp_cifar,
     "wide-convnet": build_wide_convnet,
-    "resnet50": lambda input_res=224: build_resnet50(None, input_res),
-    "repmlp-res50": build_repmlp_resnet50,
-    "repmlp-res50-c4-r4": lambda input_res=224: build_resnet50(
-        {"c4": BottleneckConfig("repmlp_bottleneck", reduction=4, groups=8)}, input_res),
-    "repmlp-res50-c4-r8": lambda input_res=224: build_resnet50(
-        {"c4": BottleneckConfig("repmlp_bottleneck", reduction=8, groups=8)}, input_res),
-    "repmlp-light-res50": build_repmlp_light_resnet50,
+    "resnet50": build_resnet50,
+    # the main ImageNet variant: blocks in c3 (r = 2) and c4 (r = 4)
+    "repmlp-res50": partial(build_resnet50, {"c3": 2, "c4": 4}),
+    "repmlp-res50-c4-r4": partial(build_resnet50, {"c4": 4}),
+    "repmlp-res50-c4-r8": partial(build_resnet50, {"c4": 8}),
+    # light blocks in c3 and c4: an 8x 1x1 squeeze and no 3x3 convs
+    "repmlp-light-res50": partial(build_resnet50, {"c3": "light", "c4": "light"}),
 }
 
 
@@ -588,4 +538,3 @@ def build_named_model(name: str, input_res: int) -> Model:
         known = ", ".join(sorted(MODEL_BUILDERS))
         raise ShapeError(f"unknown model {name!r}; known models: {known}")
     return MODEL_BUILDERS[name](input_res=input_res)
-

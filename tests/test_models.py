@@ -151,6 +151,43 @@ def test_repmlp_resnet_block_configs():
     assert all(c.in_channels == 64 and c.gp_hidden == 64 * 4 * 4 for c in c4)
 
 
+def _block_bodies(model):
+    """(body, cfg) of every residual branch that holds a block."""
+    return [(branch, layer.attr("cfg")) for add in model.layers if add.kind == "add"
+            for branch in add.children for layer in branch if layer.kind == "repmlp_train"]
+
+
+def test_repmlp_resnet_c4_r8_and_light_block_configs():
+    r8 = _block_bodies(MODEL_BUILDERS["repmlp-res50-c4-r8"]())
+    assert len(r8) == 5                      # stride-1 bottlenecks of c4 only
+    for body, c in r8:
+        assert (c.height, c.in_channels, c.out_channels) == (14, 32, 32)   # 256 / 8
+        assert c.gp_hidden == 32 * 4 * 4 and c.groups == 8 and c.part_h == 7
+        assert [l.attr("k") for l in body if l.kind == "conv"] == [1, 3, 3, 1]
+
+    light = _block_bodies(MODEL_BUILDERS["repmlp-light-res50"]())
+    assert len(light) == 3 + 5
+    for body, c in light:
+        in_ch = 512 if c.height == 28 else 1024
+        assert c.height in (28, 14) and c.in_channels == c.out_channels == in_ch // 8
+        parts = (c.height // 7) ** 2
+        assert c.gp_hidden == c.in_channels * parts * parts
+        assert c.groups == 8 and c.part_h == c.part_w == 7
+        # an 8x 1x1 squeeze and its 1x1 expansion, no 3x3 conv around the block
+        convs = [(l.attr("in_ch"), l.attr("out_ch"), l.attr("k")) for l in body
+                 if l.kind == "conv"]
+        assert convs == [(in_ch, in_ch // 8, 1), (in_ch // 8, in_ch, 1)]
+    assert sum(c.height == 28 for _, c in light) == 3
+
+
+def test_resnet50_rejects_unknown_stages_and_reductions():
+    for stages in ({"c6": 4}, {"c1": "light"}, {"c3": 3}, {"c3": 16}, {"c4": 2.0},
+                   {"c4": True}, {"c4": "heavy"}, {"c4": None}):
+        with pytest.raises(ShapeError):
+            build_resnet50(stages)
+    assert build_resnet50({"c4": "light"}).name == "resnet50[c4-light-r4g8]"
+
+
 def test_pure_mlp_structure():
     model = build_pure_mlp_cifar()
     blocks = [l.attr("cfg") for l in model.layers if l.kind == "repmlp_train"]
@@ -283,6 +320,25 @@ def test_pool_layer_validation():
         with pytest.raises(ShapeError):
             pool_layer("max", k, stride, pad)
     assert pool_layer("max", 3, 1, 1).attr("pad") == 1
+
+
+def test_conv_and_fc_layer_validation():
+    for in_ch, out_ch, k, stride, pad, groups in (
+            (3, 3, 3, 0, 0, 1), (0, 3, 3, 1, 0, 1), (3, 0, 3, 1, 0, 1), (3, 3, 0, 1, 0, 1),
+            (3, 3, 3, 1, -1, 1), (3, 3, 3, 1, 0, 0), (3, 3.0, 3, 1, 0, 1), (3, 3, 3.0, 1, 0, 1),
+            (3, 3, 3, 1, 0.0, 1), (True, 3, 1, 1, 0, 1), (3, 3, 3, True, 0, 1),
+            (4, 4, 3, 1, 0, 3), (4, 6, 1, 1, 0, 4), (6, 4, 1, 1, 0, 4)):
+        with pytest.raises(ShapeError):
+            conv_layer(in_ch, out_ch, k, stride, pad, groups)
+    for in_dim, out_dim in ((0, 2), (2, 0), (2.0, 2), (2, True)):
+        with pytest.raises(ShapeError):
+            fc_layer(in_dim, out_dim)
+    assert conv_layer(4, 6, 3, 2, 1, 2).attr("groups") == 2
+    # a 5x5 window fits a 4x4 map only once it is padded
+    with pytest.raises(ShapeError):
+        count_flops(Model("too-wide", (3, 4, 4), (conv_layer(3, 3, 5),)))
+    fits = Model("fits", (3, 4, 4), (conv_layer(3, 3, 5, pad=1),))
+    assert output_shape(fits) == ("map", 3, 2, 2)
 
 
 def test_counting_rejects_bad_pools():

@@ -17,7 +17,8 @@ child process per tree). Compared artefacts, all from fixed seeds:
   covers the image, so it has no global path, with four branches), and
   the `repmlp export-fc3` map of each of those six checkpoints;
 * `repmlp count` output for every model in MODEL_BUILDERS, at its default
-  resolution;
+  resolution, and for the five residual models also at 320 (10x10 tiles,
+  four branches);
 * the fc3 kernel and bias bytes that `convert_block` makes, in f32 and f64,
   from a block whose fc3 and branch kernels hold planted +0.0 and -0.0
   entries (no 1x1 branch, whose +0.0 fill off the diagonal would turn every
@@ -65,6 +66,9 @@ def write_artefacts(out: str) -> None:
                           "--in-channel", "0", "--out", f"{ckpt}.fc3.txt"])
         for name in models.MODEL_BUILDERS:
             cli.main(["count", name, "--out", os.path.join(out, f"count_{name}.txt")])
+            if name not in ("pure-mlp-cifar", "wide-convnet"):
+                cli.main(["count", name, "320",
+                          "--out", os.path.join(out, f"count_{name}_320.txt")])
     for name, res, batch, tag in (("pure-mlp-cifar", 32, 4, ""), ("wide-convnet", 32, 4, ""),
                                   ("repmlp-res50", 224, 1, ""),
                                   ("pure-mlp-cifar", 32, 33, "_b33")):
