@@ -9,7 +9,8 @@ tilewise FC kernel:
 * a resolution-preserving grouped conv equals one grouped FC whose columns
   are the responses to one-hot basis images (an identity matrix reshaped to
   tiles, replicated once per group); one-hot probes make each response value
-  a single kernel tap, so the matrix is assembled by direct placement;
+  a single kernel tap, so the matrix is a strided window view of the kernel
+  zero-padded to (2h-1, 2w-1), which the fold adds straight into fc3;
 * the 1-D BN after the big FC folds into it the same way;
 * the BN in front of the global-path MLP is absorbed into FC1, which is a
   composition of two affine maps.
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .block import RepMLPConfig, RepMLPTrainWeights, check_train_weights, global_perceptron
 from .tensor import BnParams, ConvSpec, FcSpec, ShapeError, grouped_fc, inverse_partition
@@ -95,6 +97,26 @@ def absorb_bn_into_fc1(bn: BnParams, fc1: FcSpec) -> FcSpec:
     return FcSpec(kernel=kernel, bias=bias, groups=1, in_dim=fc1.in_dim, out_dim=fc1.out_dim)
 
 
+def _window_view(kernel: np.ndarray, part_h: int, part_w: int) -> np.ndarray:
+    """The (O, h, w, C/g, h, w) FC-kernel grid of a resolution-preserving conv
+    kernel, as a read-only strided view; nothing of grid size is built.
+
+    The kernel is zero-padded into q of dims (O, C/g, 2h-1, 2w-1), centred at
+    (h-1, w-1), and the view reads [o, a, b, c, i, j] = q[o, c, h-1-a+i,
+    w-1-b+j], which is kernel[o, c, i-a+kh//2, j-b+kw//2] inside the window
+    and +0.0 outside it. Taps further than h-1 rows or w-1 columns from the
+    centre can never land in a tile, so they are cropped.
+    """
+    o, cg, kh, kw = kernel.shape
+    ph, pw = kh // 2, kw // 2
+    dh, dw = min(ph, part_h - 1), min(pw, part_w - 1)
+    q = np.zeros((o, cg, 2 * part_h - 1, 2 * part_w - 1), dtype=kernel.dtype)
+    q[:, :, part_h - 1 - dh:part_h + dh, part_w - 1 - dw:part_w + dw] = \
+        kernel[:, :, ph - dh:ph + dh + 1, pw - dw:pw + dw + 1]
+    windows = sliding_window_view(q, (part_h, part_w), axis=(2, 3))
+    return windows[:, :, ::-1, ::-1].transpose(0, 2, 3, 1, 4, 5)
+
+
 def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> FcSpec:
     """Build the FC kernel equivalent to a resolution-preserving grouped conv
     acting on (C, part_h, part_w) tiles flattened row-major.
@@ -107,31 +129,21 @@ def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> Fc
     one-hot per group, every response value is a single kernel tap, so the
     matrix is assembled by direct placement instead of running the probes:
     entry [(o, a, b), (c, i, j)] is kernel[o, c, i - a + ph, j - b + pw]
-    when that offset lands inside the window, else zero. For each output
-    position (a, b) the window clipped to the tile is one rectangle, so the
-    matrix is filled with one block copy per output position. A conv bias,
-    constant over tile positions, is replicated part_h*part_w times.
+    when that offset lands inside the window, else zero. The kernel is one
+    copy of the strided window view that convert_block adds into fc3. A conv
+    bias, constant over tile positions, is replicated part_h*part_w times.
     """
     g = conv.groups
     o = conv.out_channels
     if conv.in_channels != in_channels:
         raise ShapeError(f"conv expects {conv.in_channels} channels, got {in_channels}")
     kh, kw = conv.kernel_size
-    ph, pw = kh // 2, kw // 2
-    if conv.padding != (ph, pw) or conv.stride != 1:
+    if conv.padding != (kh // 2, kw // 2) or conv.stride != 1:
         raise ShapeError("conv_to_fc requires resolution-preserving padding K // 2 and stride 1")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("conv_to_fc requires odd kernel sizes")
-    cg = in_channels // g
-    grid = np.zeros((o, part_h, part_w, cg, part_h, part_w), dtype=conv.kernel.dtype)
-    for a in range(part_h):
-        # output row a reads input rows a - ph .. a + ph, clamped to the tile
-        i0, i1 = max(0, a - ph), min(part_h, a - ph + kh)
-        for b in range(part_w):
-            j0, j1 = max(0, b - pw), min(part_w, b - pw + kw)
-            grid[:, a, b, :, i0:i1, j0:j1] = \
-                conv.kernel[:, :, i0 - a + ph:i1 - a + ph, j0 - b + pw:j1 - b + pw]
-    kernel = grid.reshape(o * part_h * part_w, cg * part_h * part_w)
+    grid = np.ascontiguousarray(_window_view(conv.kernel, part_h, part_w))
+    kernel = grid.reshape(o * part_h * part_w, in_channels // g * part_h * part_w)
     bias = None if conv.bias is None else np.repeat(conv.bias, part_h * part_w)
     return FcSpec(kernel=kernel, bias=bias, groups=g,
                   in_dim=in_channels * part_h * part_w,
@@ -142,19 +154,22 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
     """Fold every branch and every BN of a trained block into three FCs.
 
     Summation order is fixed for determinism: the fused fc3 kernel first,
-    then the branches in their checked ascending kernel order. The branches
-    are added in place into the fused fc3 arrays, which the BN fold has
-    just made, so no input array is written or shared.
+    then the branches in their checked ascending kernel order. Each fused
+    branch's window view (see conv_to_fc) is added in place into the fused
+    fc3 arrays, which the BN fold has just made, so no input array is
+    written or shared and no per-branch grid is built. An fc3 entry outside
+    a branch's window gets that branch's +0.0, as a full grid would give it.
     """
     check_train_weights(cfg, w)
     fused = fuse_bn1d_into_fc(w.fc3, w.fc3_bn)
-    kernel = fused.kernel
+    h, wd = cfg.part_h, cfg.part_w
+    grid = fused.kernel.reshape(cfg.out_channels, h, wd, cfg.in_channels // cfg.groups, h, wd)
     bias = fused.bias
     for conv, bn in w.branches:
-        branch_fc = conv_to_fc(fuse_bn_into_conv(conv, bn),
-                               cfg.in_channels, cfg.part_h, cfg.part_w)
-        kernel += branch_fc.kernel
-        bias += branch_fc.bias
+        branch = fuse_bn_into_conv(conv, bn)
+        grid += _window_view(branch.kernel, h, wd)
+        bias += np.repeat(branch.bias, h * wd)
+    kernel = grid.reshape(fused.kernel.shape)
     fc3 = FcSpec(kernel=kernel, bias=bias, groups=cfg.groups,
                  in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim)
     fc1 = fc2 = None

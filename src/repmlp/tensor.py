@@ -266,12 +266,15 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     copied once to channel-major (C, N, H, W) order. The patch matrix of a
     group has one row per (channel, tap row, tap column) and one column per
     output position (image, row, column). It is built one slab of whole
-    images at a time, with one copy per tap at the output stride, into one
-    buffer of at most SLAB_BYTES (at least one image) that every slab and
-    group reuses; each slab and group makes one _gemm call into its columns
-    of the result. A 1x1 stride-1 conv reads the channel-major input as it
-    is, one _gemm call per group. The bias is added last, and the result is
-    transposed back to (N, C, H, W) once.
+    images at a time, into one buffer of at most SLAB_BYTES (at least one
+    image) that every slab and group reuses, in two steps: one copy per tap
+    column j fills a second reused buffer with the full-height plane of
+    columns j, j+s, ..., and one copy per tap row i then takes rows i, i+s,
+    ... of every such plane. That is kh+kw copies, and at stride 1 each
+    runs over whole H_out x W_out planes. Each slab and group makes one
+    _gemm call into its columns of the result. A 1x1 stride-1 conv reads
+    the channel-major input as it is, one _gemm call per group. The bias is
+    added last, and the result is transposed back to (N, C, H, W) once.
     """
     check_feature_map(x)
     _same_dtype(x, spec.kernel, "conv2d")
@@ -305,17 +308,20 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
                   out[gi * og:(gi + 1) * og])
     else:
         per_image = k * ho * wo
+        per_shifted = cg * kw * hp * wo
         nb = min(n, max(1, SLAB_BYTES // (per_image * x.itemsize)))
         buf = np.empty(nb * per_image, dtype=x.dtype)
+        shift_buf = np.empty(nb * per_shifted, dtype=x.dtype)
         for n0 in range(0, n, nb):
             b = min(nb, n - n0)
             cols = buf[:b * per_image].reshape(cg, kh, kw, b, ho, wo)
+            shifted = shift_buf[:b * per_shifted].reshape(cg, kw, b, hp, wo)
             for gi in range(g):
                 xg = xc[gi * cg:(gi + 1) * cg, n0:n0 + b]
+                for j in range(kw):
+                    shifted[:, j] = xg[:, :, :, j:j + s * (wo - 1) + 1:s]
                 for i in range(kh):
-                    for j in range(kw):
-                        cols[:, i, j] = xg[:, :, i:i + s * (ho - 1) + 1:s,
-                                           j:j + s * (wo - 1) + 1:s]
+                    cols[:, i] = shifted[:, :, :, i:i + s * (ho - 1) + 1:s]
                 _gemm(kernel[gi * og:(gi + 1) * og], cols.reshape(k, b * ho * wo),
                       out[gi * og:(gi + 1) * og, n0 * ho * wo:(n0 + b) * ho * wo])
     if spec.bias is not None:

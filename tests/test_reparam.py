@@ -306,6 +306,100 @@ def test_convert_block_leaves_inputs_untouched_and_unshared():
             assert not np.shares_memory(fc3.bias, a)
 
 
+def sequential_grid_sum(cfg, w):
+    """fc3 as a fold that builds every grid: the BN-folded fc3, then each
+    BN-fused branch's zero-filled tap-scatter grid added in ascending kernel
+    order."""
+    fused = fuse_bn1d_into_fc(w.fc3, w.fc3_bn)
+    kernel, bias = fused.kernel.copy(), fused.bias.copy()
+    for conv, bn in w.branches:
+        branch = fuse_bn_into_conv(conv, bn)
+        kernel += conv_to_fc_scatter(branch.kernel, cfg.groups, cfg.in_channels,
+                                     cfg.part_h, cfg.part_w)
+        bias += np.repeat(branch.bias, cfg.part_h * cfg.part_w)
+    return kernel, bias
+
+
+def test_convert_block_bytes_equal_sequential_grid_sum():
+    # convert_block adds each branch's window view into fc3 in place; the
+    # bytes must be those of adding full zero-filled grids one after another,
+    # signed zeros included: an fc3 -0.0 outside a branch's window takes that
+    # branch's +0.0 and comes out +0.0
+    rng = np.random.default_rng(41)
+    configs = [
+        RepMLPConfig(2, 2, 6, 4, 3, 2, branch_kernels=(1,)),
+        RepMLPConfig(4, 4, 12, 10, 6, 5, groups=2, branch_kernels=(3, 5)),
+        RepMLPConfig(3, 6, 7, 5, 7, 5, groups=3, branch_kernels=(1, 3, 5)),
+        RepMLPConfig(6, 3, 8, 14, 4, 7, groups=3, branch_kernels=(1, 3)),
+        RepMLPConfig(2, 4, 5, 9, 5, 9, groups=1, branch_kernels=(3, 5)),
+        RepMLPConfig(4, 2, 8, 8, 8, 8, groups=2, branch_kernels=(1, 3, 5, 7)),
+    ]
+    for dtype in (np.float32, np.float64):
+        for cfg in configs:
+            w = random_train_weights(cfg, rng, dtype)
+            for kernel in [w.fc3.kernel] + [conv.kernel for conv, _ in w.branches]:
+                flat = kernel.reshape(-1)
+                flat[rng.random(flat.size) < 0.3] = 0.0
+                flat[rng.random(flat.size) < 0.3] = -0.0
+            want_kernel, want_bias = sequential_grid_sum(cfg, w)
+            fc3 = convert_block(cfg, w).fc3
+            assert fc3.kernel.dtype == want_kernel.dtype
+            assert fc3.kernel.shape == want_kernel.shape
+            assert fc3.kernel.tobytes() == want_kernel.tobytes(), (dtype, cfg)
+            assert fc3.bias.tobytes() == want_bias.tobytes(), (dtype, cfg)
+
+
+def test_convert_block_signed_zero_diagonal_hand_case():
+    # fc3 and every branch tap are -0.0: a diagonal entry sums -0.0 + -0.0
+    # + -0.0 and stays -0.0; an entry outside the 1x1 window gets that
+    # branch's +0.0, and outside both windows both +0.0s, so it is +0.0
+    from repmlp.block import RepMLPTrainWeights
+    cfg = RepMLPConfig(1, 1, 3, 3, 3, 3, branch_kernels=(1, 3))
+    id_bn = lambda n: BnParams(np.ones(n), np.ones(n), np.ones(n), np.ones(n), EPS)
+    fc3 = FcSpec(np.full((9, 9), -0.0), None, 1, 9, 9)
+    branches = tuple((ConvSpec(np.full((1, 1, k, k), -0.0), None, (k // 2, k // 2), 1),
+                      id_bn(1)) for k in (1, 3))
+    kernel = convert_block(cfg, RepMLPTrainWeights(fc3, id_bn(9), branches)).fc3.kernel
+    assert np.all(np.signbit(np.diag(kernel)))
+    grid = kernel.reshape(3, 3, 3, 3)
+    assert grid[0, 0, 0, 1] == 0.0 and not np.signbit(grid[0, 0, 0, 1])   # in the 3x3 only
+    assert grid[0, 0, 2, 2] == 0.0 and not np.signbit(grid[0, 0, 2, 2])   # in neither window
+    assert np.count_nonzero(np.signbit(kernel)) == 9
+
+
+def test_cifar_convert_memory_bounded():
+    # convert adds each branch into fc3 through a strided view of a padded
+    # kernel; a full (O, h, w, C/g, h, w) grid per branch peaked at 67.6 MB
+    # over the arrays convert returns
+    import tracemalloc
+    from dataclasses import fields, is_dataclass
+
+    from repmlp.models import build_pure_mlp_cifar, convert_model_weights, init_model_weights
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif is_dataclass(obj):
+            for f in fields(obj):
+                yield from arrays(getattr(obj, f.name))
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from arrays(item)
+
+    model = build_pure_mlp_cifar()
+    weights = init_model_weights(model, np.random.default_rng(5), np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        deploy = convert_model_weights(model, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    old = {id(a) for a in arrays(weights)}
+    new = {id(a): a.nbytes for a in arrays(deploy) if id(a) not in old}
+    assert (peak - start - sum(new.values())) / 2 ** 20 < 8
+
+
 def test_equivalence_spot_checks_both_dtypes():
     cases = [
         RepMLPConfig(4, 4, 8, 8, 4, 4, groups=2, branch_kernels=(1, 3)),

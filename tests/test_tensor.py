@@ -120,6 +120,11 @@ def test_conv_bytes_equal_gemm_on_patch_matrix():
         (1, 9, 2, 2, 3, 3, 1, 1, (1, 1), 2),     # padded one-pixel input
         (4, 70, 3, 1, 1, 1, 3, 3, (0, 0), 1),    # K over one chunk, M over one tile
         (2, 16, 5, 2, 3, 3, 5, 6, (1, 1), 1),    # K = 144, three chunks
+        (24, 8, 4, 2, 5, 5, 8, 8, (2, 2), 1),    # bundled 5x5 branch on 8x8 tiles,
+        (24, 8, 4, 2, 7, 7, 8, 8, (3, 3), 1),    # and 7x7: several slabs each
+        (2, 5, 3, 1, 1, 1, 9, 8, (0, 0), 2),     # 1x1 stride 2 on a non-square map
+        (2, 3, 2, 1, 1, 3, 6, 7, (0, 1), 1),     # one tap row
+        (2, 3, 2, 1, 3, 1, 6, 7, (1, 0), 1),     # one tap column
     ]
     for dtype in (np.float32, np.float64):
         for n, cg, og, g, kh, kw, h, w, pad, s in cases:

@@ -22,7 +22,11 @@ child process per tree). Compared artefacts, all from fixed seeds:
 * the fc3 kernel and bias bytes that `convert_block` makes, in f32 and f64,
   from a block whose fc3 and branch kernels hold planted +0.0 and -0.0
   entries (no 1x1 branch, whose +0.0 fill off the diagonal would turn every
-  -0.0 sum into +0.0; this block's fc3 kernel holds about a hundred -0.0).
+  -0.0 sum into +0.0; this block's fc3 kernel holds about a hundred -0.0),
+  and from a block with kernels 1-3-5 and positive BN gammas whose fc3
+  diagonal (output pixel = input pixel) and branch centre taps are all
+  -0.0, so the diagonal stays -0.0 while every other planted -0.0 meets the
+  1x1 branch's +0.0.
 
 Prints one line per artefact with both trees' sha256; a differing .npy
 array also gets its max relative difference, and a differing text report
@@ -80,17 +84,28 @@ def write_artefacts(out: str) -> None:
         np.save(os.path.join(out, f"{name}{tag}_train.npy"), models.run_model(model, weights, x))
         np.save(os.path.join(out, f"{name}{tag}_deploy.npy"),
                 models.run_model(models.convert_graph(model), deploy_weights, x))
-    cfg = block.RepMLPConfig(4, 4, 12, 10, 6, 5, groups=2, branch_kernels=(3, 5))
-    for dtype in (np.float32, np.float64):
-        rng = np.random.default_rng(99)
-        weights = block.random_train_weights(cfg, rng, dtype)
-        for kernel in [weights.fc3.kernel] + [conv.kernel for conv, _ in weights.branches]:
-            flat = kernel.reshape(-1)
-            flat[rng.random(flat.size) < 0.6] = 0.0
-            flat[rng.random(flat.size) < 0.5] = -0.0
-        fc3 = reparam.convert_block(cfg, weights).fc3
-        with open(os.path.join(out, f"convert_signed_zero_{dtype.__name__}.bin"), "wb") as fh:
-            fh.write(fc3.kernel.tobytes() + fc3.bias.tobytes())
+    for tag, kernels in (("", (3, 5)), ("_k1", (1, 3, 5))):
+        cfg = block.RepMLPConfig(4, 4, 12, 10, 6, 5, groups=2, branch_kernels=kernels)
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(99)
+            weights = block.random_train_weights(cfg, rng, dtype)
+            for kernel in [weights.fc3.kernel] + [conv.kernel for conv, _ in weights.branches]:
+                flat = kernel.reshape(-1)
+                flat[rng.random(flat.size) < 0.6] = 0.0
+                flat[rng.random(flat.size) < 0.5] = -0.0
+            if tag:
+                for bn in [weights.fc3_bn] + [bn for _, bn in weights.branches]:
+                    np.abs(bn.gamma, out=bn.gamma)
+                pixels = np.arange(cfg.part_h * cfg.part_w)
+                grid = weights.fc3.kernel.reshape(cfg.out_channels, pixels.size, -1, pixels.size)
+                grid[:, pixels, :, pixels] = -0.0
+                for conv, _ in weights.branches:
+                    k = conv.kernel_size[0]
+                    conv.kernel[:, :, k // 2, k // 2] = -0.0
+            fc3 = reparam.convert_block(cfg, weights).fc3
+            with open(os.path.join(out, f"convert_signed_zero{tag}_{dtype.__name__}.bin"),
+                      "wb") as fh:
+                fh.write(fc3.kernel.tobytes() + fc3.bias.tobytes())
 
 
 def write_tree(tree: str, out: str) -> None:
