@@ -26,6 +26,7 @@ from .tensor import (
     ConvSpec,
     FcSpec,
     ShapeError,
+    _is_int,
     avg_pool_global,
     batchnorm_inference,
     check_feature_map,
@@ -64,12 +65,12 @@ class RepMLPConfig:
     def __post_init__(self) -> None:
         for name in ("in_channels", "out_channels", "height", "width", "part_h", "part_w", "groups"):
             value = getattr(self, name)
-            if type(value) is not int:  # bool and float are not int here
+            if not _is_int(value):
                 raise ShapeError(f"{name} must be an int, got {value!r}")
             if value < 1:
                 raise ShapeError(f"{name} must be >= 1")
         for k in self.branch_kernels:
-            if type(k) is not int:
+            if not _is_int(k):
                 raise ShapeError(f"branch kernels must be ints, got {self.branch_kernels!r}")
         object.__setattr__(self, "branch_kernels", tuple(sorted(self.branch_kernels)))
         if self.in_channels % self.groups or self.out_channels % self.groups:
@@ -89,7 +90,7 @@ class RepMLPConfig:
         if len(set(self.branch_kernels)) != len(self.branch_kernels):
             raise ShapeError("duplicate branch kernel sizes")
         if self.gp_internal_dim is not None:
-            if type(self.gp_internal_dim) is not int:
+            if not _is_int(self.gp_internal_dim):
                 raise ShapeError(f"gp_internal_dim must be an int, got {self.gp_internal_dim!r}")
             if self.gp_internal_dim < 1:
                 raise ShapeError("gp_internal_dim must be >= 1")
@@ -172,17 +173,9 @@ def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
     if kernels != cfg.branch_kernels:
         raise ShapeError(f"branch kernels {kernels} must be the config's "
                          f"{cfg.branch_kernels}, in that order")
-    if cfg.has_global_path:
-        if w.gp_bn is None or w.fc1 is None or w.fc2 is None:
-            raise ShapeError("global path is active; gp_bn, fc1, fc2 are required")
-        if w.gp_bn.num_features != cfg.in_channels:
-            raise ShapeError("gp_bn feature count must equal in_channels")
-        if w.fc1.groups != 1 or w.fc2.groups != 1:
-            raise ShapeError("fc1 and fc2 must be dense (groups = 1)")
-        if (w.fc1.in_dim, w.fc1.out_dim) != (cfg.in_channels, cfg.gp_hidden):
-            raise ShapeError(f"fc1 must map {cfg.in_channels} -> {cfg.gp_hidden}")
-        if (w.fc2.in_dim, w.fc2.out_dim) != (cfg.gp_hidden, cfg.in_channels):
-            raise ShapeError(f"fc2 must map {cfg.gp_hidden} -> {cfg.in_channels}")
+    check_global_mlp(cfg, w.fc1, w.fc2)
+    if cfg.has_global_path and (w.gp_bn is None or w.gp_bn.num_features != cfg.in_channels):
+        raise ShapeError("global path is active; gp_bn over in_channels features is required")
     # conversion adds the branches into the fc3 kernel in place, so a mixed
     # block would be rounded to the fc3 dtype instead of being rejected
     arrays = [w.fc3_bn.mean] + [a for conv, bn in w.branches for a in (conv.kernel, bn.mean)]
@@ -190,6 +183,20 @@ def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
         arrays += [w.gp_bn.mean, w.fc1.kernel, w.fc2.kernel]
     if any(a.dtype != w.fc3.kernel.dtype for a in arrays):
         raise ShapeError(f"block weights must all have the fc3 kernel dtype {w.fc3.kernel.dtype}")
+
+
+def check_global_mlp(cfg: RepMLPConfig, fc1: FcSpec | None, fc2: FcSpec | None) -> None:
+    """Validate the global-path MLP of either weight form: present when the path
+    is active, dense, and mapping in_channels -> gp_hidden -> in_channels."""
+    if not cfg.has_global_path:
+        return
+    if fc1 is None or fc2 is None:
+        raise ShapeError("global path is active; fc1 and fc2 are required")
+    if fc1.groups != 1 or fc2.groups != 1:
+        raise ShapeError("fc1 and fc2 must be dense (groups = 1)")
+    c, d = cfg.in_channels, cfg.gp_hidden
+    if (fc1.in_dim, fc1.out_dim, fc2.in_dim, fc2.out_dim) != (c, d, d, c):
+        raise ShapeError(f"fc1 and fc2 must map {c} -> {d} -> {c}")
 
 
 def check_block_input(x: np.ndarray, cfg: RepMLPConfig) -> None:
@@ -288,18 +295,16 @@ def random_train_weights(cfg: RepMLPConfig, rng: np.random.Generator,
             groups=g,
         )
         branches.append((conv, random_bn(rng, o, dtype)))
-    fc3 = FcSpec(
-        kernel=_uniform(rng, (cfg.fc_out_dim, cfg.fc_in_dim // g), -0.5, 0.5, dtype),
-        bias=None, groups=g, in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim,
-    )
+    fc3 = FcSpec(kernel=_uniform(rng, (cfg.fc_out_dim, cfg.fc_in_dim // g), -0.5, 0.5, dtype),
+                 bias=None, groups=g)
     gp_bn = fc1 = fc2 = None
     if cfg.has_global_path:
         gp_bn = random_bn(rng, c, dtype)
         d = cfg.gp_hidden
         fc1 = FcSpec(kernel=_uniform(rng, (d, c), -0.5, 0.5, dtype),
-                     bias=_uniform(rng, d, -0.5, 0.5, dtype), groups=1, in_dim=c, out_dim=d)
+                     bias=_uniform(rng, d, -0.5, 0.5, dtype), groups=1)
         fc2 = FcSpec(kernel=_uniform(rng, (c, d), -0.5, 0.5, dtype),
-                     bias=_uniform(rng, c, -0.5, 0.5, dtype), groups=1, in_dim=d, out_dim=c)
+                     bias=_uniform(rng, c, -0.5, 0.5, dtype), groups=1)
     return RepMLPTrainWeights(
         fc3=fc3,
         fc3_bn=random_bn(rng, cfg.fc_out_dim, dtype),

@@ -26,9 +26,9 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .block import RepMLPConfig, RepMLPTrainWeights
-from .reparam import RepMLPInferWeights
-from .tensor import BnParams, ConvSpec, FcSpec, _is_int
+from .block import RepMLPConfig, RepMLPTrainWeights, check_train_weights
+from .reparam import RepMLPInferWeights, check_infer_weights
+from .tensor import BnParams, ConvSpec, FcSpec, ShapeError, _is_int
 
 MAGIC = b"RMLP"
 FORMAT_VERSION = 1
@@ -38,7 +38,7 @@ FORM_INFER = "infer"
 
 
 class CheckpointError(ValueError):
-    """Raised for malformed files, wrong forms, or missing tensors."""
+    """Raised for malformed files, wrong forms, missing or misshapen tensors."""
 
 
 def config_record(cfg: RepMLPConfig, form: str, bn_eps: float = 1e-5) -> dict:
@@ -214,16 +214,13 @@ def _global_fcs_from(cfg: RepMLPConfig, tensors: dict) -> tuple:
     """(fc1, fc2) of either weight form; (None, None) without a global path."""
     if not cfg.has_global_path:
         return None, None
-    c, d = cfg.in_channels, cfg.gp_hidden
     return tuple(FcSpec(kernel=_take(tensors, f"{name}.kernel"),
-                        bias=_take(tensors, f"{name}.bias"), groups=1, in_dim=i, out_dim=o)
-                 for name, i, o in (("fc1", c, d), ("fc2", d, c)))
+                        bias=_take(tensors, f"{name}.bias"), groups=1) for name in ("fc1", "fc2"))
 
 
 def train_weights_from_tensors(cfg: RepMLPConfig, tensors: dict[str, np.ndarray],
                                eps: float = 1e-5) -> RepMLPTrainWeights:
-    fc3 = FcSpec(kernel=_take(tensors, "fc3.kernel"), bias=None, groups=cfg.groups,
-                 in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim)
+    fc3 = FcSpec(kernel=_take(tensors, "fc3.kernel"), bias=None, groups=cfg.groups)
     branches = []
     for k in cfg.branch_kernels:
         conv = ConvSpec(kernel=_take(tensors, f"branch{k}.kernel"), bias=None,
@@ -237,8 +234,7 @@ def train_weights_from_tensors(cfg: RepMLPConfig, tensors: dict[str, np.ndarray]
 
 def infer_weights_from_tensors(cfg: RepMLPConfig,
                                tensors: dict[str, np.ndarray]) -> RepMLPInferWeights:
-    fc3 = FcSpec(kernel=_take(tensors, "fc3.kernel"), bias=_take(tensors, "fc3.bias"),
-                 groups=cfg.groups, in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim)
+    fc3 = FcSpec(_take(tensors, "fc3.kernel"), _take(tensors, "fc3.bias"), cfg.groups)
     fc1, fc2 = _global_fcs_from(cfg, tensors)
     return RepMLPInferWeights(fc3=fc3, fc1=fc1, fc2=fc2)
 
@@ -256,20 +252,24 @@ def load_block_checkpoint(path: str):
     """Load a block checkpoint.
 
     Returns (cfg, form, weights) where weights is the train or infer
-    structure according to the stored form. A tensor the config does not
-    declare is an error, not silently dropped.
+    structure of the stored form, passed through that form's weight check.
+    A tensor the config does not declare is an error, not silently dropped.
     """
     config, tensors = load_checkpoint(path)
-    cfg = config_from_record(config)
-    form = config["form"]
-    if form == FORM_TRAIN:
-        weights = train_weights_from_tensors(cfg, tensors, float(config["bn_eps"]))
-        declared = train_weights_to_tensors(weights)
-    elif form == FORM_INFER:
-        weights = infer_weights_from_tensors(cfg, tensors)
-        declared = infer_weights_to_tensors(weights)
-    else:
-        raise CheckpointError(f"unknown weight form {form!r}")
+    try:
+        cfg, form = config_from_record(config), config["form"]
+        if form == FORM_TRAIN:
+            weights = train_weights_from_tensors(cfg, tensors, float(config["bn_eps"]))
+            check_train_weights(cfg, weights)
+            declared = train_weights_to_tensors(weights)
+        elif form == FORM_INFER:
+            weights = infer_weights_from_tensors(cfg, tensors)
+            check_infer_weights(cfg, weights)
+            declared = infer_weights_to_tensors(weights)
+        else:
+            raise CheckpointError(f"unknown weight form {form!r}")
+    except ShapeError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     extra = sorted(tensors.keys() - declared.keys())
     if extra:
         raise CheckpointError(f"tensors not declared by the config: "

@@ -297,8 +297,7 @@ def _init_layers(layers, rng, dtype):
         elif layer.kind == "fc":
             d_in, d_out = layer.attr("in_dim"), layer.attr("out_dim")
             bias = rng.uniform(-0.5, 0.5, d_out).astype(dtype)
-            weights.append(FcSpec(rng.uniform(-0.5, 0.5, (d_out, d_in)).astype(dtype),
-                                  bias, 1, d_in, d_out))
+            weights.append(FcSpec(rng.uniform(-0.5, 0.5, (d_out, d_in)).astype(dtype), bias, 1))
         elif layer.kind == "repmlp_train":
             weights.append(random_train_weights(layer.attr("cfg"), rng, dtype))
         elif layer.kind == "repmlp_infer":

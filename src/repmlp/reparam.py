@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .block import RepMLPConfig, RepMLPTrainWeights, check_train_weights, global_perceptron
+from .block import (RepMLPConfig, RepMLPTrainWeights, check_global_mlp, check_train_weights,
+                    global_perceptron)
 from .tensor import BnParams, ConvSpec, FcSpec, ShapeError, grouped_fc, inverse_partition
 
 
@@ -46,8 +47,7 @@ def check_infer_weights(cfg: RepMLPConfig, w: RepMLPInferWeights) -> None:
         raise ShapeError("converted fc3 must carry a bias")
     if (w.fc3.in_dim, w.fc3.out_dim, w.fc3.groups) != (cfg.fc_in_dim, cfg.fc_out_dim, cfg.groups):
         raise ShapeError("converted fc3 dims do not match config")
-    if cfg.has_global_path and (w.fc1 is None or w.fc2 is None):
-        raise ShapeError("global path is active; fc1 and fc2 are required")
+    check_global_mlp(cfg, w.fc1, w.fc2)
 
 
 def fuse_bn_into_conv(conv: ConvSpec, bn: BnParams) -> ConvSpec:
@@ -74,8 +74,7 @@ def fuse_bn1d_into_fc(fc: FcSpec, bn: BnParams) -> FcSpec:
         raise ShapeError("bn feature count must equal fc out_dim")
     scale, shift = bn.affine()
     kernel = fc.kernel * scale.reshape(-1, 1)
-    return FcSpec(kernel=kernel, bias=shift, groups=fc.groups,
-                  in_dim=fc.in_dim, out_dim=fc.out_dim)
+    return FcSpec(kernel=kernel, bias=shift, groups=fc.groups)
 
 
 def absorb_bn_into_fc1(bn: BnParams, fc1: FcSpec) -> FcSpec:
@@ -94,7 +93,7 @@ def absorb_bn_into_fc1(bn: BnParams, fc1: FcSpec) -> FcSpec:
     kernel = fc1.kernel * scale.reshape(1, -1)
     extra = fc1.kernel @ shift
     bias = extra if fc1.bias is None else fc1.bias + extra
-    return FcSpec(kernel=kernel, bias=bias, groups=1, in_dim=fc1.in_dim, out_dim=fc1.out_dim)
+    return FcSpec(kernel=kernel, bias=bias, groups=1)
 
 
 def _window_view(kernel: np.ndarray, part_h: int, part_w: int) -> np.ndarray:
@@ -145,9 +144,7 @@ def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> Fc
     grid = np.ascontiguousarray(_window_view(conv.kernel, part_h, part_w))
     kernel = grid.reshape(o * part_h * part_w, in_channels // g * part_h * part_w)
     bias = None if conv.bias is None else np.repeat(conv.bias, part_h * part_w)
-    return FcSpec(kernel=kernel, bias=bias, groups=g,
-                  in_dim=in_channels * part_h * part_w,
-                  out_dim=o * part_h * part_w)
+    return FcSpec(kernel=kernel, bias=bias, groups=g)
 
 
 def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeights:
@@ -170,8 +167,7 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
         grid += _window_view(branch.kernel, h, wd)
         bias += np.repeat(branch.bias, h * wd)
     kernel = grid.reshape(fused.kernel.shape)
-    fc3 = FcSpec(kernel=kernel, bias=bias, groups=cfg.groups,
-                 in_dim=cfg.fc_in_dim, out_dim=cfg.fc_out_dim)
+    fc3 = FcSpec(kernel=kernel, bias=bias, groups=cfg.groups)
     fc1 = fc2 = None
     if cfg.has_global_path:
         fc1 = absorb_bn_into_fc1(w.gp_bn, w.fc1)

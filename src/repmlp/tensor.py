@@ -139,40 +139,37 @@ class FcSpec:
     """Grouped fully connected parameters.
 
     kernel has dims (out_dim, in_dim / groups): row q holds the weights of
-    output feature q over its own group's inputs. bias, when present, has
-    length out_dim. groups, in_dim and out_dim are ints, and groups >= 1
-    divides both dims.
+    output feature q over its own group's inputs, so the kernel and groups
+    fix both dims. bias, when present, has length out_dim. groups is an
+    int >= 1 that divides out_dim.
     """
 
     kernel: np.ndarray
     bias: np.ndarray | None
     groups: int
-    in_dim: int
-    out_dim: int
 
     def __post_init__(self) -> None:
         _check_float(self.kernel, "fc kernel")
         if self.kernel.ndim != 2:
             raise ShapeError(f"fc kernel must be 2-D, got shape {self.kernel.shape}")
-        for name in ("groups", "in_dim", "out_dim"):
-            if not _is_int(getattr(self, name)):
-                raise ShapeError(f"fc {name} must be an int, got {getattr(self, name)!r}")
-        if self.groups < 1:
-            raise ShapeError("groups must be >= 1")
-        if self.in_dim % self.groups:
-            raise ShapeError(f"in_dim {self.in_dim} not divisible by groups {self.groups}")
+        if not (_is_int(self.groups) and self.groups >= 1):
+            raise ShapeError(f"fc groups must be an int >= 1, got {self.groups!r}")
         if self.out_dim % self.groups:
             raise ShapeError(f"out_dim {self.out_dim} not divisible by groups {self.groups}")
-        expect = (self.out_dim, self.in_dim // self.groups)
-        if self.kernel.shape != expect:
-            raise ShapeError(f"fc kernel shape {self.kernel.shape} does not match "
-                             f"(out_dim, in_dim/groups) = {expect}")
         if self.bias is not None:
             _check_float(self.bias, "fc bias")
             _same_dtype(self.kernel, self.bias, "fc bias")
             if self.bias.shape != (self.out_dim,):
                 raise ShapeError(
                     f"fc bias must have shape ({self.out_dim},), got {self.bias.shape}")
+
+    @property
+    def out_dim(self) -> int:
+        return self.kernel.shape[0]
+
+    @property
+    def in_dim(self) -> int:
+        return self.kernel.shape[1] * self.groups
 
 
 @dataclass(frozen=True)
@@ -272,9 +269,10 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     columns j, j+s, ..., and one copy per tap row i then takes rows i, i+s,
     ... of every such plane. That is kh+kw copies, and at stride 1 each
     runs over whole H_out x W_out planes. Each slab and group makes one
-    _gemm call into its columns of the result. A 1x1 stride-1 conv reads
-    the channel-major input as it is, one _gemm call per group. The bias is
-    added last, and the result is transposed back to (N, C, H, W) once.
+    _gemm call into its columns of the result. A 1x1 conv reads every s-th
+    row and column of the channel-major input, one _gemm call per group.
+    The bias is added last, and the result is transposed back to
+    (N, C, H, W) once.
     """
     check_feature_map(x)
     _same_dtype(x, spec.kernel, "conv2d")
@@ -302,9 +300,10 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     k = cg * kh * kw
     kernel = spec.kernel.reshape(out_ch, k)
     out = np.empty((out_ch, m), dtype=x.dtype)
-    if kh == kw == s == 1:
+    if kh == kw == 1:
+        xs = xc[:, :, ::s, ::s]
         for gi in range(g):
-            _gemm(kernel[gi * og:(gi + 1) * og], xc[gi * cg:(gi + 1) * cg].reshape(cg, m),
+            _gemm(kernel[gi * og:(gi + 1) * og], xs[gi * cg:(gi + 1) * cg].reshape(cg, m),
                   out[gi * og:(gi + 1) * og])
     else:
         per_image = k * ho * wo

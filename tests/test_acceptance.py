@@ -116,7 +116,7 @@ def test_bn_fusions_preserve_forwards():
 
         # FC + 1-D BN -> biased FC
         q, p = 8, 12
-        fc = FcSpec(rng.uniform(-1, 1, (q, p // g)).astype(f32), None, g, p, q)
+        fc = FcSpec(rng.uniform(-1, 1, (q, p // g)).astype(f32), None, g)
         bn1 = random_bn(rng, q, f32)
         v = rng.uniform(-1, 1, (3, p)).astype(f32)
         raw = grouped_fc(v, fc)
@@ -128,7 +128,7 @@ def test_bn_fusions_preserve_forwards():
         cc, d = 6, 4
         bn2 = random_bn(rng, cc, f32)
         fc1 = FcSpec(rng.uniform(-1, 1, (d, cc)).astype(f32),
-                     rng.uniform(-1, 1, d).astype(f32), 1, cc, d)
+                     rng.uniform(-1, 1, d).astype(f32), 1)
         pooled = rng.uniform(-1, 1, (3, cc, 1, 1)).astype(f32)
         normed = batchnorm_inference(pooled, bn2).reshape(3, cc)
         want = grouped_fc(normed, fc1)

@@ -15,6 +15,7 @@ from repmlp.block import (
     partition_perceptron,
     random_train_weights,
 )
+from repmlp.reparam import check_infer_weights, convert_block, forward_infer
 from repmlp.tensor import BnParams, ConvSpec, FcSpec, ShapeError, partition
 
 EPS = 1e-5
@@ -29,9 +30,8 @@ def identity_bn(features, scale=1.0, shift=0.0):
 
 def dense_fc(kernel, bias=None):
     kernel = np.asarray(kernel, dtype=np.float64)
-    q, p = kernel.shape
     b = None if bias is None else np.asarray(bias, dtype=np.float64)
-    return FcSpec(kernel, b, 1, p, q)
+    return FcSpec(kernel, b, 1)
 
 
 def test_config_derived_properties():
@@ -187,7 +187,7 @@ def test_check_train_weights_rejections():
     good = random_train_weights(cfg, rng, np.float64)
     check_train_weights(cfg, good)
 
-    biased_fc3 = FcSpec(good.fc3.kernel, np.zeros(8), 1, 8, 8)
+    biased_fc3 = FcSpec(good.fc3.kernel, np.zeros(8), 1)
     with pytest.raises(ShapeError):
         check_train_weights(cfg, RepMLPTrainWeights(
             fc3=biased_fc3, fc3_bn=good.fc3_bn, branches=good.branches,
@@ -221,11 +221,23 @@ def test_check_train_weights_rejections():
         check_train_weights(cfg, RepMLPTrainWeights(
             fc3=good.fc3, fc3_bn=good.fc3_bn, branches=good.branches))
 
-    bad_fc1 = FcSpec(np.ones((3, 2)), np.zeros(3), 1, 2, 3)
+    bad_fc1 = FcSpec(np.ones((3, 2)), np.zeros(3), 1)
     with pytest.raises(ShapeError):  # fc1 width != gp_internal_dim
         check_train_weights(cfg, RepMLPTrainWeights(
             fc3=good.fc3, fc3_bn=good.fc3_bn, branches=good.branches,
             gp_bn=good.gp_bn, fc1=bad_fc1, fc2=good.fc2))
+
+    wide = dataclasses.replace(good, fc1=FcSpec(np.ones((5, 2)), np.zeros(5), 1),
+                               fc2=FcSpec(np.ones((2, 5)), np.zeros(2), 1))
+    grouped = dataclasses.replace(good, fc1=FcSpec(np.ones((2, 1)), np.zeros(2), 2))
+    for bad in (wide, grouped):  # a 2 -> 5 -> 2 MLP, and a grouped 2 -> 2 fc1
+        with pytest.raises(ShapeError):
+            check_train_weights(cfg, bad)
+        infer = dataclasses.replace(convert_block(cfg, good), fc1=bad.fc1, fc2=bad.fc2)
+        with pytest.raises(ShapeError):
+            check_infer_weights(cfg, infer)
+        with pytest.raises(ShapeError):
+            forward_infer(np.zeros((1, 2, 4, 4)), cfg, infer)
 
     two = RepMLPConfig(2, 2, 3, 3, 3, 3, branch_kernels=(1, 3))
     ordered = random_train_weights(two, rng, np.float64)

@@ -15,6 +15,7 @@ from repmlp.block import forward_train
 from repmlp.checkpoint import (
     CheckpointError,
     config_record,
+    infer_weights_to_tensors,
     load_block_checkpoint,
     save_checkpoint,
     train_weights_to_tensors,
@@ -170,8 +171,8 @@ def test_convert_missing_input_is_io_error(tmp_path, capsys):
 def _malformed_checkpoint(path, case):
     cfg = parse_config(CFG_TEXT)
     rec = config_record(cfg, "train")
-    tensors = train_weights_to_tensors(
-        repmlp.random_train_weights(cfg, np.random.default_rng(3), np.float32))
+    weights = repmlp.random_train_weights(cfg, np.random.default_rng(3), np.float32)
+    tensors = train_weights_to_tensors(weights)
     if case == "huge_dims":
         # one tensor claiming (2**32 - 1)**4 floats, with no payload behind it
         save_checkpoint(str(path), rec, {})
@@ -197,6 +198,17 @@ def _malformed_checkpoint(path, case):
         tensors["junk"] = np.zeros(1, np.float32)
     elif case == "undeclared_branch":  # the file still holds branch3.*
         rec["branch_kernels"] = [1]
+    elif case == "half_branch_channels":
+        tensors["branch3.kernel"] = tensors["branch3.kernel"][:, :1]
+    elif case == "short_fc3_bn":
+        for stat in ("mean", "var", "gamma", "beta"):
+            tensors[f"fc3_bn.{stat}"] = tensors[f"fc3_bn.{stat}"][:3]
+    elif case == "wide_infer_fc1":  # a consistent 4 -> 5 -> 4 MLP where gp_hidden is 1
+        rec = config_record(cfg, "infer")
+        tensors = infer_weights_to_tensors(repmlp.convert_block(cfg, weights))
+        tensors.update({"fc1.kernel": np.ones((5, 4), np.float32),
+                        "fc1.bias": np.ones(5, np.float32),
+                        "fc2.kernel": np.ones((4, 5), np.float32)})
     save_checkpoint(str(path), rec, tensors)
     if case == "truncated_payload":
         path.write_bytes(path.read_bytes()[:-9])
@@ -204,7 +216,8 @@ def _malformed_checkpoint(path, case):
 
 @pytest.mark.parametrize("case", ["missing_key", "string_int", "bool_int", "string_kernels",
                                   "string_eps", "list_record", "huge_dims",
-                                  "truncated_payload", "junk_tensor", "undeclared_branch"])
+                                  "truncated_payload", "junk_tensor", "undeclared_branch",
+                                  "half_branch_channels", "short_fc3_bn", "wide_infer_fc1"])
 def test_convert_rejects_malformed_checkpoint(tmp_path, capsys, case):
     bad = tmp_path / "bad.rmlp"
     _malformed_checkpoint(bad, case)

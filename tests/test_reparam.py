@@ -80,7 +80,7 @@ def test_fuse_bn1d_into_fc_composite_forward():
     for _ in range(25):
         g = int(rng.choice([1, 2, 4]))
         p, q = 8, 4 * g
-        fc = FcSpec(rng.normal(size=(q, p // g)), None, g, p, q)
+        fc = FcSpec(rng.normal(size=(q, p // g)), None, g)
         bn = bn_of(rng.normal(size=q), rng.uniform(0.5, 1.5, q),
                    rng.normal(size=q), rng.normal(size=q))
         v = rng.normal(size=(3, p))
@@ -93,7 +93,7 @@ def test_fuse_bn1d_into_fc_composite_forward():
 def test_absorb_bn_into_fc1_scalar_oracle():
     # scale = 2/2 = 1, shift = 3 - 1 = 2, bias gains kernel @ shift = 8
     bn = bn_of([1.0], [4.0 - EPS], [2.0], [3.0])
-    fc1 = FcSpec(np.array([[4.0]]), np.array([0.0]), 1, 1, 1)
+    fc1 = FcSpec(np.array([[4.0]]), np.array([0.0]), 1)
     folded = absorb_bn_into_fc1(bn, fc1)
     np.testing.assert_allclose(folded.kernel, [[4.0]], atol=1e-12)
     np.testing.assert_allclose(folded.bias, [8.0], atol=1e-12)
@@ -106,8 +106,7 @@ def test_absorb_bn_into_fc1_composite_forward():
             c, d = 6, 4
             bn = bn_of(rng.normal(size=c), rng.uniform(0.5, 1.5, c),
                        rng.normal(size=c), rng.normal(size=c))
-            fc1 = FcSpec(rng.normal(size=(d, c * rep)), rng.normal(size=d),
-                         1, c * rep, d)
+            fc1 = FcSpec(rng.normal(size=(d, c * rep)), rng.normal(size=d), 1)
             pooled = rng.normal(size=(5, c, 1, 1))
             normed = batchnorm_inference(pooled, bn).reshape(5, c)
             v = np.repeat(normed, rep, axis=1)
@@ -269,7 +268,7 @@ def test_convert_block_identity_bns_keep_fc3():
     cfg = RepMLPConfig(2, 2, 3, 3, 3, 3)
     rng = np.random.default_rng(6)
     kernel = rng.normal(size=(18, 18))
-    fc3 = FcSpec(kernel, None, 1, 18, 18)
+    fc3 = FcSpec(kernel, None, 1)
     bn = BnParams(np.zeros(18), np.full(18, 1.0 - EPS), np.ones(18), np.zeros(18), EPS)
     from repmlp.block import RepMLPTrainWeights
     out = convert_block(cfg, RepMLPTrainWeights(fc3=fc3, fc3_bn=bn))
@@ -281,7 +280,7 @@ def test_convert_block_identity_bns_keep_fc3():
 def test_convert_block_k1_identity_branch_adds_identity():
     from repmlp.block import RepMLPTrainWeights
     cfg = RepMLPConfig(2, 2, 3, 3, 3, 3, branch_kernels=(1,))
-    fc3 = FcSpec(np.zeros((18, 18)), None, 1, 18, 18)
+    fc3 = FcSpec(np.zeros((18, 18)), None, 1)
     id_bn = lambda n: BnParams(np.zeros(n), np.full(n, 1.0 - EPS),
                                np.ones(n), np.zeros(n), EPS)
     conv = ConvSpec(np.eye(2).reshape(2, 2, 1, 1), None, (0, 0), 1)
@@ -356,7 +355,7 @@ def test_convert_block_signed_zero_diagonal_hand_case():
     from repmlp.block import RepMLPTrainWeights
     cfg = RepMLPConfig(1, 1, 3, 3, 3, 3, branch_kernels=(1, 3))
     id_bn = lambda n: BnParams(np.ones(n), np.ones(n), np.ones(n), np.ones(n), EPS)
-    fc3 = FcSpec(np.full((9, 9), -0.0), None, 1, 9, 9)
+    fc3 = FcSpec(np.full((9, 9), -0.0), None, 1)
     branches = tuple((ConvSpec(np.full((1, 1, k, k), -0.0), None, (k // 2, k // 2), 1),
                       id_bn(1)) for k in (1, 3))
     kernel = convert_block(cfg, RepMLPTrainWeights(fc3, id_bn(9), branches)).fc3.kernel
@@ -424,9 +423,9 @@ def test_fc_kernel_addition_matches_summed_outputs():
     v = rng.normal(size=(4, 12))
     k1 = rng.normal(size=(6, 6))
     k2 = rng.normal(size=(6, 6))
-    a = grouped_fc(v, FcSpec(k1, None, 2, 12, 6))
-    b = grouped_fc(v, FcSpec(k2, None, 2, 12, 6))
-    both = grouped_fc(v, FcSpec(k1 + k2, None, 2, 12, 6))
+    a = grouped_fc(v, FcSpec(k1, None, 2))
+    b = grouped_fc(v, FcSpec(k2, None, 2))
+    both = grouped_fc(v, FcSpec(k1 + k2, None, 2))
     np.testing.assert_allclose(a + b, both, atol=1e-12, rtol=0)
 
 

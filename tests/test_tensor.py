@@ -123,6 +123,7 @@ def test_conv_bytes_equal_gemm_on_patch_matrix():
         (24, 8, 4, 2, 5, 5, 8, 8, (2, 2), 1),    # bundled 5x5 branch on 8x8 tiles,
         (24, 8, 4, 2, 7, 7, 8, 8, (3, 3), 1),    # and 7x7: several slabs each
         (2, 5, 3, 1, 1, 1, 9, 8, (0, 0), 2),     # 1x1 stride 2 on a non-square map
+        (2, 3, 2, 2, 1, 1, 5, 6, (1, 0), 2),     # padded 1x1 stride 2
         (2, 3, 2, 1, 1, 3, 6, 7, (0, 1), 1),     # one tap row
         (2, 3, 2, 1, 3, 1, 6, 7, (1, 0), 1),     # one tap column
     ]
@@ -146,7 +147,7 @@ def test_conv_bytes_equal_gemm_on_patch_matrix():
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes(), \
                     (dtype, n, cg, og, g, kh, kw, s)
                 rows = np.concatenate([p.T for p in patches], axis=1)
-                fc = grouped_fc(rows, FcSpec(flat, bias, g, rows.shape[1], og * g))
+                fc = grouped_fc(rows, FcSpec(flat, bias, g))
                 assert fc.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2).tobytes() == got.tobytes()
 
 
@@ -188,7 +189,7 @@ def test_blocked_sum_within_error_bound(op, k):
         rows = 70 if k < 16384 else 8
         v = rng.uniform(0.0, 1.0, (rows, 2 * k)).astype(np.float32)
         kernel = rng.uniform(-0.2, 1.0, (6, k)).astype(np.float32)
-        got = grouped_fc(v, FcSpec(kernel, None, 2, 2 * k, 6)).astype(np.float64)
+        got = grouped_fc(v, FcSpec(kernel, None, 2)).astype(np.float64)
         v64, k64 = v.astype(np.float64), kernel.astype(np.float64)
         want = np.hstack([v64[:, :k] @ k64[:3].T, v64[:, k:] @ k64[3:].T])
         scale = np.hstack([v64[:, :k] @ np.abs(k64[:3]).T, v64[:, k:] @ np.abs(k64[3:]).T])
@@ -261,7 +262,7 @@ def test_conv_validation():
 
 def test_grouped_fc_two_group_hand_case():
     v = np.array([[1.0, 2.0, 3.0, 4.0]])
-    spec = FcSpec(np.array([[1.0, 1.0], [1.0, 1.0]]), None, 2, 4, 2)
+    spec = FcSpec(np.array([[1.0, 1.0], [1.0, 1.0]]), None, 2)
     np.testing.assert_array_equal(grouped_fc(v, spec), [[3.0, 7.0]])
 
 
@@ -270,7 +271,7 @@ def test_grouped_fc_dense_matches_matmul():
     v = rng.normal(size=(4, 6))
     kernel = rng.normal(size=(5, 6))
     bias = rng.normal(size=5)
-    got = grouped_fc(v, FcSpec(kernel, bias, 1, 6, 5))
+    got = grouped_fc(v, FcSpec(kernel, bias, 1))
     np.testing.assert_allclose(got, v @ kernel.T + bias, atol=1e-12, rtol=0)
 
 
@@ -281,25 +282,23 @@ def test_grouped_fc_equals_grouped_one_by_one_conv():
         v = rng.normal(size=(3, p))
         kernel = rng.normal(size=(q, p // g))
         bias = rng.normal(size=q)
-        fc = grouped_fc(v, FcSpec(kernel, bias, g, p, q))
+        fc = grouped_fc(v, FcSpec(kernel, bias, g))
         conv = conv2d(v.reshape(3, p, 1, 1),
                       ConvSpec(kernel.reshape(q, p // g, 1, 1), bias, (0, 0), g))
         np.testing.assert_array_equal(fc, conv.reshape(3, q))
 
 
 def test_grouped_fc_validation():
-    spec = FcSpec(np.ones((2, 2)), None, 2, 4, 2)
+    spec = FcSpec(np.ones((2, 2)), None, 2)
+    assert (spec.in_dim, spec.out_dim) == (4, 2)
     with pytest.raises(ShapeError):
         grouped_fc(np.ones((1, 3)), spec)  # wrong feature count
     with pytest.raises(ShapeError):
-        FcSpec(np.ones((2, 3)), None, 2, 4, 2)  # kernel shape mismatch
-    with pytest.raises(ShapeError):
-        FcSpec(np.ones((2, 2)), None, 3, 4, 2)  # groups do not divide dims
-    # each of these passed the shape checks as a non-int (or bool) stand-in
-    for groups, in_dim, out_dim in ((2.0, 4, 2), (2, 4.0, 2), (2, 4, 2.0), (True, 2, 2),
-                                    (1, True, 2), (2, 4, None)):
+        FcSpec(np.ones((2, 2)), None, 3)  # groups do not divide out_dim
+    # a float, bool, str, None or 0 is not a group count
+    for groups in (2.0, True, "1", None, 0):
         with pytest.raises(ShapeError):
-            FcSpec(np.ones((2, 2)), None, groups, in_dim, out_dim)
+            FcSpec(np.ones((2, 2)), None, groups)
 
 
 _F32 = np.ones((2, 3, 3, 3), dtype=np.float32)
@@ -308,7 +307,7 @@ _F32 = np.ones((2, 3, 3, 3), dtype=np.float32)
 @pytest.mark.parametrize("build, message", [
     (lambda: ConvSpec(_F32.astype(np.int64), None, (1, 1), 1),
      "conv kernel must be float32 or float64, got int64"),
-    (lambda: grouped_fc(np.ones((1, 2), dtype=np.float16), FcSpec(np.ones((2, 2)), None, 1, 2, 2)),
+    (lambda: grouped_fc(np.ones((1, 2), dtype=np.float16), FcSpec(np.ones((2, 2)), None, 1)),
      "fc input must be float32 or float64, got float16"),
     (lambda: conv2d(np.ones((1, 3, 5, 5)), ConvSpec(_F32, None, (1, 1), 1)),
      "conv2d: dtype mismatch float64 vs float32"),
@@ -316,13 +315,13 @@ _F32 = np.ones((2, 3, 3, 3), dtype=np.float32)
      "feature map must be 4-D (N, C, H, W), got shape (4, 5, 5)"),
     (lambda: ConvSpec(_F32[0], None, (1, 1), 1),
      "conv kernel must be 4-D, got shape (3, 3, 3)"),
-    (lambda: FcSpec(np.ones((2, 3)), None, 2, 4, 2),
-     "fc kernel shape (2, 3) does not match (out_dim, in_dim/groups) = (2, 2)"),
+    (lambda: FcSpec(np.ones(4), None, 1),
+     "fc kernel must be 2-D, got shape (4,)"),
     (lambda: ConvSpec(_F32, np.ones(3, dtype=np.float32), (1, 1), 1),
      "conv bias must have shape (2,), got (3,)"),
-    (lambda: FcSpec(np.ones((2, 2)), np.ones(3), 2, 4, 2),
+    (lambda: FcSpec(np.ones((2, 2)), np.ones(3), 2),
      "fc bias must have shape (2,), got (3,)"),
-    (lambda: FcSpec(np.ones((2, 2)), np.ones(2, dtype=np.float32), 2, 4, 2),
+    (lambda: FcSpec(np.ones((2, 2)), np.ones(2, dtype=np.float32), 2),
      "fc bias: dtype mismatch float64 vs float32"),
     (lambda: BnParams(np.zeros(2), np.ones(3), np.ones(2), np.zeros(2)),
      "bn parameter lengths differ"),
@@ -410,10 +409,10 @@ def test_kernels_bitwise_under_batch_split():
                         rng.normal(size=5).astype(np.float32), (0, 0), 1)
     v = x.reshape(10, -1)
     fc = FcSpec(rng.normal(size=(48, 36)).astype(np.float32),
-                rng.normal(size=48).astype(np.float32), 4, 144, 48)
+                rng.normal(size=48).astype(np.float32), 4)
     v70 = rng.normal(size=(70, 784)).astype(np.float32)
     fc392 = FcSpec(rng.normal(size=(16, 392)).astype(np.float32),
-                   rng.normal(size=16).astype(np.float32), 2, 784, 16)
+                   rng.normal(size=16).astype(np.float32), 2)
     assert 392 % KC and 70 % TILE and 7 * 5 * 5 % TILE
     small = (1, 3, 4, 10, 16)
     for op, inp, chunks in ((lambda b: conv2d(b, conv), x, small),
@@ -490,6 +489,6 @@ def test_kernels_preserve_dtype():
         spec = ConvSpec(np.ones((2, 2, 3, 3), dtype=dtype), None, (1, 1), 1)
         assert conv2d(x, spec).dtype == dtype
         v = np.ones((1, 4), dtype=dtype)
-        fc = FcSpec(np.ones((2, 4), dtype=dtype), None, 1, 4, 2)
+        fc = FcSpec(np.ones((2, 4), dtype=dtype), None, 1)
         assert grouped_fc(v, fc).dtype == dtype
         assert partition(x, 2, 2).dtype == dtype
