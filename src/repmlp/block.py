@@ -187,13 +187,15 @@ def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
 
 def check_global_mlp(cfg: RepMLPConfig, fc1: FcSpec | None, fc2: FcSpec | None) -> None:
     """Validate the global-path MLP of either weight form: present when the path
-    is active, dense, and mapping in_channels -> gp_hidden -> in_channels."""
+    is active, dense, biased, and mapping in_channels -> gp_hidden -> in_channels."""
     if not cfg.has_global_path:
         return
     if fc1 is None or fc2 is None:
         raise ShapeError("global path is active; fc1 and fc2 are required")
     if fc1.groups != 1 or fc2.groups != 1:
         raise ShapeError("fc1 and fc2 must be dense (groups = 1)")
+    if fc1.bias is None or fc2.bias is None:
+        raise ShapeError("fc1 and fc2 must carry a bias")
     c, d = cfg.in_channels, cfg.gp_hidden
     if (fc1.in_dim, fc1.out_dim, fc2.in_dim, fc2.out_dim) != (c, d, d, c):
         raise ShapeError(f"fc1 and fc2 must map {c} -> {d} -> {c}")

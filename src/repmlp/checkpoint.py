@@ -11,24 +11,31 @@ Layout, all integers little-endian:
                  dims-product x 4 bytes of little-endian float32 payload
 
 Tensor names are unique. Payloads are written with '<f4' byte order
-explicitly, so a save/load/save cycle is bit-exact on any host. The config
-record carries the block hyper-parameters, the weight form ("train" or
-"infer") and the BN epsilon; tensor payloads hold only numbers.
+explicitly, so a save/load/save cycle is bit-exact on any host.
+
+The JSON record holds every RepMLPConfig field under its own name, plus
+"record", "form" ("train" or "infer") and "bn_eps", the one eps that all
+BNs of a train block share. Each array of a weight dataclass is named
+<field>.<array field> (fc3.kernel, fc3_bn.mean, ...) in declaration order,
+None skipped; branch k's conv and BN go under branch<k> and branch<k>.bn.
+So renaming a field changes the format.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import struct
+import sys
 from typing import BinaryIO
 
 import numpy as np
 
 from .block import RepMLPConfig, RepMLPTrainWeights, check_train_weights
 from .reparam import RepMLPInferWeights, check_infer_weights
-from .tensor import BnParams, ConvSpec, FcSpec, ShapeError, _is_int
+from .tensor import BnParams, ConvSpec, FcSpec, ShapeError
 
 MAGIC = b"RMLP"
 FORMAT_VERSION = 1
@@ -44,51 +51,34 @@ class CheckpointError(ValueError):
 def config_record(cfg: RepMLPConfig, form: str, bn_eps: float = 1e-5) -> dict:
     if form not in (FORM_TRAIN, FORM_INFER):
         raise CheckpointError(f"unknown weight form {form!r}")
-    return {
-        "record": "repmlp-block",
-        "form": form,
-        "in_channels": cfg.in_channels,
-        "out_channels": cfg.out_channels,
-        "height": cfg.height,
-        "width": cfg.width,
-        "part_h": cfg.part_h,
-        "part_w": cfg.part_w,
-        "groups": cfg.groups,
-        "branch_kernels": list(cfg.branch_kernels),
-        "gp_internal_dim": cfg.gp_internal_dim,
-        "gp_nonlinearity": cfg.gp_nonlinearity,
-        "bn_eps": bn_eps,
-    }
-
-
-_INT_FIELDS = ("in_channels", "out_channels", "height", "width", "part_h", "part_w", "groups")
-_RECORD_KEYS = ("form", *_INT_FIELDS, "branch_kernels", "gp_internal_dim", "gp_nonlinearity",
-                "bn_eps")
+    return {"record": "repmlp-block", "form": form, **dataclasses.asdict(cfg),
+            "branch_kernels": list(cfg.branch_kernels), "bn_eps": bn_eps}
 
 
 def config_from_record(rec: dict) -> RepMLPConfig:
-    """Block config of a record; raises CheckpointError on a bad schema."""
+    """Block config of a record; raises CheckpointError on a bad schema.
+
+    Field values are checked by RepMLPConfig itself (a ShapeError), except
+    the two it cannot see: branch_kernels must be a JSON list, since a
+    string would split into characters, and bn_eps a finite number.
+    """
     if not isinstance(rec, dict):
         raise CheckpointError(f"config record must be a JSON object, got {type(rec).__name__}")
     if rec.get("record") != "repmlp-block":
         raise CheckpointError(f"not a block checkpoint: record={rec.get('record')!r}")
-    missing = [k for k in _RECORD_KEYS if k not in rec]
+    fields = [f.name for f in dataclasses.fields(RepMLPConfig)]
+    missing = [k for k in ("form", *fields, "bn_eps") if k not in rec]
     if missing:
         raise CheckpointError(f"config record missing keys: {', '.join(missing)}")
-    ks, gp, eps = rec["branch_kernels"], rec["gp_internal_dim"], rec["bn_eps"]
-    wrong = [k for k in _INT_FIELDS if not _is_int(rec[k])]
-    if not isinstance(ks, list) or not all(_is_int(k) for k in ks):
-        wrong.append("branch_kernels")
-    if gp is not None and not _is_int(gp):
-        wrong.append("gp_internal_dim")
-    if not isinstance(rec["gp_nonlinearity"], str):
-        wrong.append("gp_nonlinearity")
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+    eps = rec["bn_eps"]
+    wrong = [] if isinstance(rec["branch_kernels"], list) else ["branch_kernels"]
+    # float() overflows on a JSON int past the float range
+    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+            or not abs(eps) <= sys.float_info.max):
         wrong.append("bn_eps")
     if wrong:
         raise CheckpointError(f"config record fields of the wrong type: {', '.join(wrong)}")
-    return RepMLPConfig(**{k: rec[k] for k in _INT_FIELDS}, branch_kernels=tuple(ks),
-                        gp_internal_dim=gp, gp_nonlinearity=rec["gp_nonlinearity"])
+    return RepMLPConfig(**{k: rec[k] for k in fields})
 
 
 def _write_tensor(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
@@ -111,7 +101,11 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
 
 def _read_tensor(fh: BinaryIO, file_size: int) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-    name = _read_exact(fh, name_len).decode("utf-8")
+    raw_name = _read_exact(fh, name_len)
+    try:
+        name = raw_name.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"tensor name {raw_name!r} is not UTF-8: {exc}") from exc
     (rank,) = struct.unpack("<B", _read_exact(fh, 1))
     dims = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank))
     nbytes, left = 4 * math.prod(dims), file_size - fh.tell()
@@ -144,7 +138,11 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        config = json.loads(_read_exact(fh, cfg_len).decode("utf-8"))
+        raw_cfg = _read_exact(fh, cfg_len)
+        try:
+            config = json.loads(raw_cfg.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
+            raise CheckpointError(f"{path}: config record is not UTF-8 JSON: {exc}") from exc
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -163,89 +161,84 @@ def _take(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
     return tensors[name]
 
 
-def _bn_tensors(prefix: str, bn: BnParams) -> dict[str, np.ndarray]:
-    return {
-        f"{prefix}.mean": bn.mean,
-        f"{prefix}.var": bn.var,
-        f"{prefix}.gamma": bn.gamma,
-        f"{prefix}.beta": bn.beta,
-    }
+def weights_to_tensors(w: RepMLPTrainWeights | RepMLPInferWeights) -> dict[str, np.ndarray]:
+    """Every array of either weight form, named and ordered as the module
+    docstring describes."""
+    tensors: dict[str, np.ndarray] = {}
 
+    def add(prefix: str, spec) -> None:
+        for f in dataclasses.fields(spec):
+            value = getattr(spec, f.name)
+            if isinstance(value, np.ndarray):
+                tensors[f"{prefix}.{f.name}"] = value
 
-def _bn_from(tensors: dict, prefix: str, eps: float) -> BnParams:
-    return BnParams(
-        mean=_take(tensors, f"{prefix}.mean"),
-        var=_take(tensors, f"{prefix}.var"),
-        gamma=_take(tensors, f"{prefix}.gamma"),
-        beta=_take(tensors, f"{prefix}.beta"),
-        eps=eps,
-    )
-
-
-def train_weights_to_tensors(w: RepMLPTrainWeights) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {"fc3.kernel": w.fc3.kernel}
-    tensors.update(_bn_tensors("fc3_bn", w.fc3_bn))
-    for conv, bn in w.branches:
-        k = conv.kernel_size[0]
-        tensors[f"branch{k}.kernel"] = conv.kernel
-        tensors.update(_bn_tensors(f"branch{k}.bn", bn))
-    if w.gp_bn is not None:
-        tensors.update(_bn_tensors("gp_bn", w.gp_bn))
-    tensors.update(_global_fc_tensors(w))
+    for f in dataclasses.fields(w):
+        value = getattr(w, f.name)
+        if f.name == "branches":
+            for conv, bn in value:
+                k = conv.kernel_size[0]
+                add(f"branch{k}", conv)
+                add(f"branch{k}.bn", bn)
+        elif value is not None:
+            add(f.name, value)
     return tensors
 
 
-def infer_weights_to_tensors(w: RepMLPInferWeights) -> dict[str, np.ndarray]:
-    return {"fc3.kernel": w.fc3.kernel, "fc3.bias": w.fc3.bias, **_global_fc_tensors(w)}
-
-
-def _global_fc_tensors(w: RepMLPTrainWeights | RepMLPInferWeights) -> dict[str, np.ndarray]:
-    """fc1.* then fc2.* of either weight form; empty without a global path."""
-    tensors = {}
-    for name in ("fc1", "fc2"):
-        fc = getattr(w, name)
-        if fc is not None:
-            tensors[f"{name}.kernel"] = fc.kernel
-            tensors[f"{name}.bias"] = fc.bias
-    return tensors
+def _spec(tensors: dict[str, np.ndarray], prefix: str, cls, **fixed):
+    """A cls whose fields not given in fixed are the tensors prefix.<field>."""
+    return cls(**fixed, **{f.name: _take(tensors, f"{prefix}.{f.name}")
+                           for f in dataclasses.fields(cls) if f.name not in fixed})
 
 
 def _global_fcs_from(cfg: RepMLPConfig, tensors: dict) -> tuple:
     """(fc1, fc2) of either weight form; (None, None) without a global path."""
-    if not cfg.has_global_path:
-        return None, None
-    return tuple(FcSpec(kernel=_take(tensors, f"{name}.kernel"),
-                        bias=_take(tensors, f"{name}.bias"), groups=1) for name in ("fc1", "fc2"))
+    return tuple(_spec(tensors, name, FcSpec, groups=1) if cfg.has_global_path else None
+                 for name in ("fc1", "fc2"))
 
 
 def train_weights_from_tensors(cfg: RepMLPConfig, tensors: dict[str, np.ndarray],
                                eps: float = 1e-5) -> RepMLPTrainWeights:
-    fc3 = FcSpec(kernel=_take(tensors, "fc3.kernel"), bias=None, groups=cfg.groups)
-    branches = []
-    for k in cfg.branch_kernels:
-        conv = ConvSpec(kernel=_take(tensors, f"branch{k}.kernel"), bias=None,
-                        padding=(k // 2, k // 2), groups=cfg.groups)
-        branches.append((conv, _bn_from(tensors, f"branch{k}.bn", eps)))
-    gp_bn = _bn_from(tensors, "gp_bn", eps) if cfg.has_global_path else None
+    def bn(prefix: str) -> BnParams:
+        return _spec(tensors, prefix, BnParams, eps=eps)
+
+    branches = tuple((_spec(tensors, f"branch{k}", ConvSpec, bias=None, padding=(k // 2, k // 2),
+                            groups=cfg.groups, stride=1), bn(f"branch{k}.bn"))
+                     for k in cfg.branch_kernels)
     fc1, fc2 = _global_fcs_from(cfg, tensors)
-    return RepMLPTrainWeights(fc3=fc3, fc3_bn=_bn_from(tensors, "fc3_bn", eps),
-                              branches=tuple(branches), gp_bn=gp_bn, fc1=fc1, fc2=fc2)
+    return RepMLPTrainWeights(fc3=_spec(tensors, "fc3", FcSpec, bias=None, groups=cfg.groups),
+                              fc3_bn=bn("fc3_bn"), branches=branches,
+                              gp_bn=bn("gp_bn") if cfg.has_global_path else None,
+                              fc1=fc1, fc2=fc2)
 
 
 def infer_weights_from_tensors(cfg: RepMLPConfig,
                                tensors: dict[str, np.ndarray]) -> RepMLPInferWeights:
-    fc3 = FcSpec(_take(tensors, "fc3.kernel"), _take(tensors, "fc3.bias"), cfg.groups)
     fc1, fc2 = _global_fcs_from(cfg, tensors)
-    return RepMLPInferWeights(fc3=fc3, fc1=fc1, fc2=fc2)
+    return RepMLPInferWeights(fc3=_spec(tensors, "fc3", FcSpec, groups=cfg.groups),
+                              fc1=fc1, fc2=fc2)
 
 
 def save_train_checkpoint(path: str, cfg: RepMLPConfig, w: RepMLPTrainWeights,
-                          bn_eps: float = 1e-5) -> None:
-    save_checkpoint(path, config_record(cfg, FORM_TRAIN, bn_eps), train_weights_to_tensors(w))
+                          bn_eps: float | None = None) -> None:
+    """Write a train-form block once it passes check_train_weights. The
+    record's eps is the one its BNs share; BNs that differ, or a bn_eps
+    that differs from theirs, are refused."""
+    check_train_weights(cfg, w)
+    eps = {bn.eps for bn in (w.fc3_bn, w.gp_bn, *(bn for _, bn in w.branches))
+           if bn is not None}
+    if bn_eps is not None:
+        eps.add(bn_eps)
+    if len(eps) > 1:
+        raise CheckpointError(f"a v1 checkpoint stores one BN eps; the block's BNs "
+                              f"and bn_eps carry {sorted(eps)}")
+    (eps,) = eps
+    save_checkpoint(path, config_record(cfg, FORM_TRAIN, eps), weights_to_tensors(w))
 
 
 def save_infer_checkpoint(path: str, cfg: RepMLPConfig, w: RepMLPInferWeights) -> None:
-    save_checkpoint(path, config_record(cfg, FORM_INFER), infer_weights_to_tensors(w))
+    """Write an infer-form block, once it passes check_infer_weights."""
+    check_infer_weights(cfg, w)
+    save_checkpoint(path, config_record(cfg, FORM_INFER), weights_to_tensors(w))
 
 
 def load_block_checkpoint(path: str):
@@ -261,16 +254,14 @@ def load_block_checkpoint(path: str):
         if form == FORM_TRAIN:
             weights = train_weights_from_tensors(cfg, tensors, float(config["bn_eps"]))
             check_train_weights(cfg, weights)
-            declared = train_weights_to_tensors(weights)
         elif form == FORM_INFER:
             weights = infer_weights_from_tensors(cfg, tensors)
             check_infer_weights(cfg, weights)
-            declared = infer_weights_to_tensors(weights)
         else:
             raise CheckpointError(f"unknown weight form {form!r}")
     except ShapeError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    extra = sorted(tensors.keys() - declared.keys())
+    extra = sorted(tensors.keys() - weights_to_tensors(weights).keys())
     if extra:
         raise CheckpointError(f"tensors not declared by the config: "
                               f"{', '.join(map(repr, extra))}")

@@ -189,8 +189,8 @@ class BnParams:
         for name in ("mean", "var", "gamma", "beta"):
             arr = getattr(self, name)
             _check_float(arr, f"bn {name}")
-            if arr.ndim != 1:
-                raise ShapeError(f"bn {name} must be 1-D")
+            if arr.ndim != 1 or not arr.size:
+                raise ShapeError(f"bn {name} must be 1-D and non-empty")
             if arr.shape != self.mean.shape:
                 raise ShapeError("bn parameter lengths differ")
             _same_dtype(arr, self.mean, "bn params")

@@ -227,6 +227,10 @@ def test_check_train_weights_rejections():
             fc3=good.fc3, fc3_bn=good.fc3_bn, branches=good.branches,
             gp_bn=good.gp_bn, fc1=bad_fc1, fc2=good.fc2))
 
+    bias_free_fc2 = dataclasses.replace(good.fc2, bias=None)
+    with pytest.raises(ShapeError, match="bias"):  # the global-path FCs carry biases
+        check_train_weights(cfg, dataclasses.replace(good, fc2=bias_free_fc2))
+
     wide = dataclasses.replace(good, fc1=FcSpec(np.ones((5, 2)), np.zeros(5), 1),
                                fc2=FcSpec(np.ones((2, 5)), np.zeros(2), 1))
     grouped = dataclasses.replace(good, fc1=FcSpec(np.ones((2, 1)), np.zeros(2), 2))

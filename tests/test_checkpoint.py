@@ -1,11 +1,13 @@
 """Checkpoint format: bit-exact round trips and malformed-file handling."""
 
+import dataclasses
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from repmlp.block import RepMLPConfig, random_train_weights
+from repmlp.block import RepMLPConfig, forward_train, random_train_weights
 from repmlp.checkpoint import (
     CheckpointError,
     config_record,
@@ -14,9 +16,11 @@ from repmlp.checkpoint import (
     save_checkpoint,
     save_infer_checkpoint,
     save_train_checkpoint,
-    train_weights_to_tensors,
+    weights_to_tensors,
 )
+from repmlp.cli import main
 from repmlp.reparam import convert_block
+from repmlp.tensor import ShapeError
 
 CFG = RepMLPConfig(4, 4, 8, 8, 4, 4, groups=2, branch_kernels=(1, 3),
                    gp_internal_dim=4)
@@ -107,7 +111,7 @@ def test_truncated_file_rejected(tmp_path):
 
 
 def test_missing_tensor_named_in_error(tmp_path):
-    tensors = train_weights_to_tensors(make_weights())
+    tensors = weights_to_tensors(make_weights())
     del tensors["branch3.kernel"]
     path = tmp_path / "missing.rmlp"
     save_checkpoint(str(path), config_record(CFG, "train"), tensors)
@@ -140,9 +144,101 @@ def test_non_block_record_rejected(tmp_path):
         load_block_checkpoint(str(path))
 
 
+def _with_eps(w, fc3_eps, other_eps):
+    def bn(b, eps):
+        return dataclasses.replace(b, eps=eps)
+    return dataclasses.replace(
+        w, fc3_bn=bn(w.fc3_bn, fc3_eps), gp_bn=bn(w.gp_bn, other_eps),
+        branches=tuple((conv, bn(b, other_eps)) for conv, b in w.branches))
+
+
 def test_bn_eps_travels_with_the_file(tmp_path):
-    w = make_weights()
+    w = _with_eps(make_weights(), 1e-3, 1e-3)
     path = tmp_path / "eps.rmlp"
-    save_train_checkpoint(str(path), CFG, w, bn_eps=1e-3)
+    save_train_checkpoint(str(path), CFG, w)   # the eps comes from the BNs
     _, _, loaded = load_block_checkpoint(str(path))
-    assert loaded.fc3_bn.eps == 1e-3
+    bns = (loaded.fc3_bn, loaded.gp_bn, *(b for _, b in loaded.branches))
+    assert {b.eps for b in bns} == {1e-3}
+    x = np.random.default_rng(4).uniform(-1, 1, (2, 4, 8, 8)).astype(np.float32)
+    assert np.array_equal(forward_train(x, CFG, loaded), forward_train(x, CFG, w))
+    save_train_checkpoint(str(path), CFG, w, bn_eps=1e-3)   # an agreeing bn_eps is accepted
+
+
+@pytest.mark.parametrize("fc3_eps, other_eps, bn_eps", [(1e-3, 1e-5, None),
+                                                        (1e-3, 1e-3, 1e-5)])
+def test_save_refuses_eps_one_record_cannot_hold(tmp_path, fc3_eps, other_eps, bn_eps):
+    path = tmp_path / "eps.rmlp"
+    with pytest.raises(CheckpointError, match="one BN eps"):
+        save_train_checkpoint(str(path), CFG, _with_eps(make_weights(), fc3_eps, other_eps),
+                              bn_eps=bn_eps)
+    assert not path.exists()
+
+
+def test_save_runs_the_weight_check_first(tmp_path):
+    w = make_weights()
+    bias_free = dataclasses.replace(w, fc2=dataclasses.replace(w.fc2, bias=None))
+    infer = convert_block(CFG, w)
+    no_fc3_bias = dataclasses.replace(infer, fc3=dataclasses.replace(infer.fc3, bias=None))
+    path = tmp_path / "bad.rmlp"
+    with pytest.raises(ShapeError, match="bias"):
+        save_train_checkpoint(str(path), CFG, bias_free)
+    with pytest.raises(ShapeError, match="bias"):
+        save_infer_checkpoint(str(path), CFG, no_fc3_bias)
+    assert not path.exists()
+
+
+# The v1 format. Record keys and tensor names follow the dataclass field
+# names, so a renamed field must fail these tests rather than change the format.
+FLAT_CFG = RepMLPConfig(2, 2, 4, 4, 4, 4, branch_kernels=(3,))
+V1_RECORDS = {
+    (CFG, "train"): b'{"bn_eps": 1e-05, "branch_kernels": [1, 3], "form": "train", '
+                    b'"gp_internal_dim": 4, "gp_nonlinearity": "relu", "groups": 2, '
+                    b'"height": 8, "in_channels": 4, "out_channels": 4, "part_h": 4, '
+                    b'"part_w": 4, "record": "repmlp-block", "width": 8}',
+    (FLAT_CFG, "infer"): b'{"bn_eps": 1e-05, "branch_kernels": [3], "form": "infer", '
+                         b'"gp_internal_dim": null, "gp_nonlinearity": "relu", "groups": 1, '
+                         b'"height": 4, "in_channels": 2, "out_channels": 2, "part_h": 4, '
+                         b'"part_w": 4, "record": "repmlp-block", "width": 4}',
+}
+V1_TRAIN_NAMES = ["fc3.kernel", "fc3_bn.mean", "fc3_bn.var", "fc3_bn.gamma", "fc3_bn.beta",
+                  "branch1.kernel", "branch1.bn.mean", "branch1.bn.var", "branch1.bn.gamma",
+                  "branch1.bn.beta", "branch3.kernel", "branch3.bn.mean", "branch3.bn.var",
+                  "branch3.bn.gamma", "branch3.bn.beta", "gp_bn.mean", "gp_bn.var",
+                  "gp_bn.gamma", "gp_bn.beta", "fc1.kernel", "fc1.bias", "fc2.kernel",
+                  "fc2.bias"]
+V1_INFER_NAMES = ["fc3.kernel", "fc3.bias", "fc1.kernel", "fc1.bias", "fc2.kernel", "fc2.bias"]
+# sha256 of `repmlp init --config C=4,O=4,H=8,W=8,h=4,w=4,g=2,ks=1-3 --seed 5`: only
+# RNG draws cast to float32, no BLAS, so the bytes are the same on every host
+V1_INIT_SHA256 = "428a3c7f113cf8e3f6854f1bdf3ed4015e631eeaf4f74bf0291e87037621ff5e"
+
+
+def _save(path, cfg, form):
+    w = random_train_weights(cfg, np.random.default_rng(0), np.float32)
+    if form == "train":
+        save_train_checkpoint(str(path), cfg, w)
+    else:
+        save_infer_checkpoint(str(path), cfg, convert_block(cfg, w))
+
+
+@pytest.mark.parametrize("cfg, form", list(V1_RECORDS))
+def test_v1_config_record_bytes_are_frozen(tmp_path, cfg, form):
+    path = tmp_path / "r.rmlp"
+    _save(path, cfg, form)
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[5:9])
+    assert raw[9:9 + n] == V1_RECORDS[cfg, form]
+
+
+def test_v1_tensor_names_are_frozen(tmp_path):
+    path = tmp_path / "n.rmlp"
+    for form, names in (("train", V1_TRAIN_NAMES), ("infer", V1_INFER_NAMES)):
+        _save(path, CFG, form)
+        assert list(load_checkpoint(str(path))[1]) == names
+
+
+def test_v1_init_file_bytes_are_frozen(tmp_path, capsys):
+    path = tmp_path / "init.rmlp"
+    assert main(["init", "--config", "C=4,O=4,H=8,W=8,h=4,w=4,g=2,ks=1-3", "--seed", "5",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == V1_INIT_SHA256

@@ -15,10 +15,9 @@ from repmlp.block import forward_train
 from repmlp.checkpoint import (
     CheckpointError,
     config_record,
-    infer_weights_to_tensors,
     load_block_checkpoint,
     save_checkpoint,
-    train_weights_to_tensors,
+    weights_to_tensors,
 )
 from repmlp.cli import build_parser, main
 from repmlp.reparam import forward_infer
@@ -172,7 +171,7 @@ def _malformed_checkpoint(path, case):
     cfg = parse_config(CFG_TEXT)
     rec = config_record(cfg, "train")
     weights = repmlp.random_train_weights(cfg, np.random.default_rng(3), np.float32)
-    tensors = train_weights_to_tensors(weights)
+    tensors = weights_to_tensors(weights)
     if case == "huge_dims":
         # one tensor claiming (2**32 - 1)**4 floats, with no payload behind it
         save_checkpoint(str(path), rec, {})
@@ -192,6 +191,8 @@ def _malformed_checkpoint(path, case):
         rec["branch_kernels"] = "1-3"
     elif case == "string_eps":
         rec["bn_eps"] = "1e-5"
+    elif case == "huge_int_eps":  # a JSON int past the float range
+        rec["bn_eps"] = 10**400
     elif case == "list_record":
         rec = [rec]
     elif case == "junk_tensor":
@@ -203,9 +204,12 @@ def _malformed_checkpoint(path, case):
     elif case == "short_fc3_bn":
         for stat in ("mean", "var", "gamma", "beta"):
             tensors[f"fc3_bn.{stat}"] = tensors[f"fc3_bn.{stat}"][:3]
+    elif case == "empty_fc3_bn":
+        for stat in ("mean", "var", "gamma", "beta"):
+            tensors[f"fc3_bn.{stat}"] = tensors[f"fc3_bn.{stat}"][:0]
     elif case == "wide_infer_fc1":  # a consistent 4 -> 5 -> 4 MLP where gp_hidden is 1
         rec = config_record(cfg, "infer")
-        tensors = infer_weights_to_tensors(repmlp.convert_block(cfg, weights))
+        tensors = weights_to_tensors(repmlp.convert_block(cfg, weights))
         tensors.update({"fc1.kernel": np.ones((5, 4), np.float32),
                         "fc1.bias": np.ones(5, np.float32),
                         "fc2.kernel": np.ones((4, 5), np.float32)})
@@ -215,9 +219,10 @@ def _malformed_checkpoint(path, case):
 
 
 @pytest.mark.parametrize("case", ["missing_key", "string_int", "bool_int", "string_kernels",
-                                  "string_eps", "list_record", "huge_dims",
+                                  "string_eps", "huge_int_eps", "list_record", "huge_dims",
                                   "truncated_payload", "junk_tensor", "undeclared_branch",
-                                  "half_branch_channels", "short_fc3_bn", "wide_infer_fc1"])
+                                  "half_branch_channels", "short_fc3_bn", "empty_fc3_bn",
+                                  "wide_infer_fc1"])
 def test_convert_rejects_malformed_checkpoint(tmp_path, capsys, case):
     bad = tmp_path / "bad.rmlp"
     _malformed_checkpoint(bad, case)
@@ -259,6 +264,13 @@ def test_convert_fuzzed_checkpoint_exits_cleanly(tmp_path, capsys):
         else:
             assert code == 2, (label, code, err)
             assert len(err.splitlines()) == 1 and err.startswith("error:"), (label, err)
+        try:  # the library itself raises only CheckpointError, not just the CLI
+            load_block_checkpoint(str(bad))
+        except CheckpointError:
+            pass
+        except Exception as exc:
+            raise AssertionError(f"{label}: {type(exc).__name__} escaped "
+                                 f"load_block_checkpoint") from exc
 
 
 def test_init_rejects_precision_and_batch(tmp_path, capsys):
