@@ -51,8 +51,7 @@ class CheckpointError(ValueError):
 def config_record(cfg: RepMLPConfig, form: str, bn_eps: float = 1e-5) -> dict:
     if form not in (FORM_TRAIN, FORM_INFER):
         raise CheckpointError(f"unknown weight form {form!r}")
-    return {"record": "repmlp-block", "form": form, **dataclasses.asdict(cfg),
-            "branch_kernels": list(cfg.branch_kernels), "bn_eps": bn_eps}
+    return {"record": "repmlp-block", "form": form, **dataclasses.asdict(cfg), "bn_eps": bn_eps}
 
 
 def config_from_record(rec: dict) -> RepMLPConfig:
@@ -141,7 +140,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raw_cfg = _read_exact(fh, cfg_len)
         try:
             config = json.loads(raw_cfg.decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
+        # bad UTF-8 or JSON, an over-long integer, or brackets nested too deep
+        except (ValueError, RecursionError) as exc:
             raise CheckpointError(f"{path}: config record is not UTF-8 JSON: {exc}") from exc
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors: dict[str, np.ndarray] = {}

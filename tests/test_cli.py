@@ -13,6 +13,8 @@ import pytest
 import repmlp
 from repmlp.block import forward_train
 from repmlp.checkpoint import (
+    FORMAT_VERSION,
+    MAGIC,
     CheckpointError,
     config_record,
     load_block_checkpoint,
@@ -181,6 +183,11 @@ def _malformed_checkpoint(path, case):
         raw += struct.pack("<4I", *[2**32 - 1] * 4)
         path.write_bytes(bytes(raw))
         return
+    if case == "deep_json":  # a record nested past the JSON decoder's recursion limit
+        raw_cfg = b"[" * 100_000
+        path.write_bytes(MAGIC + struct.pack("<BI", FORMAT_VERSION, len(raw_cfg)) + raw_cfg
+                         + struct.pack("<I", 0))
+        return
     if case == "missing_key":
         del rec["groups"]
     elif case == "string_int":
@@ -222,7 +229,7 @@ def _malformed_checkpoint(path, case):
                                   "string_eps", "huge_int_eps", "list_record", "huge_dims",
                                   "truncated_payload", "junk_tensor", "undeclared_branch",
                                   "half_branch_channels", "short_fc3_bn", "empty_fc3_bn",
-                                  "wide_infer_fc1"])
+                                  "wide_infer_fc1", "deep_json"])
 def test_convert_rejects_malformed_checkpoint(tmp_path, capsys, case):
     bad = tmp_path / "bad.rmlp"
     _malformed_checkpoint(bad, case)
