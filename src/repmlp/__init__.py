@@ -45,7 +45,6 @@ from .reparam import (
     conv_to_fc,
     convert_block,
     forward_infer,
-    fuse_bn1d_into_fc,
     fuse_bn_into_conv,
 )
 from .tensor import (
@@ -109,7 +108,6 @@ __all__ = [
     "forward_infer",
     "forward_train",
     "full_grid",
-    "fuse_bn1d_into_fc",
     "fuse_bn_into_conv",
     "grouped_fc",
     "init_model_weights",

@@ -170,16 +170,12 @@ def block_flops(cfg: RepMLPConfig, form: str) -> int:
     return cfg.num_parts * per_tile
 
 
-def _pool_out(size: int, k: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
-
-
 def _window_out(kind: str, h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
     """Output size of k x k windows over an (h, w) map padded by pad."""
-    if k > min(h, w) + 2 * pad:
-        raise ShapeError(f"{kind} window {k} larger than padded map "
-                         f"({h + 2 * pad}, {w + 2 * pad})")
-    return _pool_out(h, k, stride, pad), _pool_out(w, k, stride, pad)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if k > min(hp, wp):
+        raise ShapeError(f"{kind} window {k} larger than padded map ({hp}, {wp})")
+    return (hp - k) // stride + 1, (wp - k) // stride + 1
 
 
 def _analyze(layers, shape) -> tuple[int, int, tuple]:
@@ -253,11 +249,6 @@ def count_params(model: Model) -> int:
 def count_flops(model: Model) -> int:
     _, flops, _ = _analyze(model.layers, ("map",) + model.input_shape)
     return flops
-
-
-def output_shape(model: Model) -> tuple:
-    _, _, shape = _analyze(model.layers, ("map",) + model.input_shape)
-    return shape
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +328,10 @@ def _max_pool(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """Max over each k x k window at the given stride, padded with the
     dtype's lowest finite value. The result starts as a copy of the first
     tap and takes one np.maximum per further tap, in (row, column) order."""
+    ho, wo = _window_out("max pool", x.shape[2], x.shape[3], k, stride, pad)
     if pad:
         fill = np.finfo(x.dtype).min
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
-    hp, wp = x.shape[2:]
-    if k > min(hp, wp):
-        raise ShapeError(f"max pool window {k} larger than padded map ({hp}, {wp})")
-    ho, wo = _pool_out(hp, k, stride, 0), _pool_out(wp, k, stride, 0)
     taps = [x[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
             for i in range(k) for j in range(k)]
     out = taps[0].copy()

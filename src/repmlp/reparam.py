@@ -4,14 +4,14 @@ The training-form block is linear in its weights once the BN statistics are
 frozen, so every conv+BN branch can be folded, exactly, into the big
 tilewise FC kernel:
 
-* BN folds into the preceding conv by scaling each output filter with
-  gamma/std and emitting a per-channel bias;
+* a BN folds into the conv in front of it by scaling each output filter
+  with gamma/std and emitting a per-channel bias; one routine does this
+  for the branch convs and for the big FC, which counts as a 1x1 conv;
 * a resolution-preserving grouped conv equals one grouped FC whose columns
   are the responses to one-hot basis images (an identity matrix reshaped to
   tiles, replicated once per group); one-hot probes make each response value
   a single kernel tap, so the matrix is a strided window view of the kernel
   zero-padded to (2h-1, 2w-1), which the fold adds straight into fc3;
-* the 1-D BN after the big FC folds into it the same way;
 * the BN in front of the global-path MLP is absorbed into FC1, which is a
   composition of two affine maps.
 
@@ -22,7 +22,7 @@ and backend independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,46 +50,33 @@ def check_infer_weights(cfg: RepMLPConfig, w: RepMLPInferWeights) -> None:
     check_global_mlp(cfg, w.fc1, w.fc2)
 
 
-def fuse_bn_into_conv(conv: ConvSpec, bn: BnParams) -> ConvSpec:
-    """Fold a per-channel BN into the preceding bias-free conv.
+def fuse_bn_into_conv(spec: ConvSpec | FcSpec, bn: BnParams) -> ConvSpec | FcSpec:
+    """Fold a BN over output channels into the bias-free conv in front of it.
 
-    Filter i is scaled by gamma_i / std_i; the new bias is
-    beta_i - mean_i * gamma_i / std_i.
+    An FC counts as a 1x1 conv here: its kernel rows are its output
+    channels. Filter (row) i is scaled by gamma_i / std_i; the new bias is
+    beta_i - mean_i * gamma_i / std_i. Every other field is kept.
     """
-    if conv.bias is not None:
-        raise ShapeError("fuse_bn_into_conv expects a bias-free conv")
-    if bn.num_features != conv.out_channels:
-        raise ShapeError("bn feature count must equal conv out_channels")
+    if spec.bias is not None:
+        raise ShapeError("fuse_bn_into_conv expects a bias-free conv or fc")
+    if bn.num_features != spec.kernel.shape[0]:
+        raise ShapeError("bn feature count must equal the output channel count")
     scale, shift = bn.affine()
-    kernel = conv.kernel * scale.reshape(-1, 1, 1, 1)
-    return ConvSpec(kernel=kernel, bias=shift, padding=conv.padding, groups=conv.groups,
-                    stride=conv.stride)
-
-
-def fuse_bn1d_into_fc(fc: FcSpec, bn: BnParams) -> FcSpec:
-    """Fold a 1-D BN over the output features into the preceding bias-free FC."""
-    if fc.bias is not None:
-        raise ShapeError("fuse_bn1d_into_fc expects a bias-free fc")
-    if bn.num_features != fc.out_dim:
-        raise ShapeError("bn feature count must equal fc out_dim")
-    scale, shift = bn.affine()
-    kernel = fc.kernel * scale.reshape(-1, 1)
-    return FcSpec(kernel=kernel, bias=shift, groups=fc.groups)
+    kernel = spec.kernel * scale.reshape((-1,) + (1,) * (spec.kernel.ndim - 1))
+    return replace(spec, kernel=kernel, bias=shift)
 
 
 def absorb_bn_into_fc1(bn: BnParams, fc1: FcSpec) -> FcSpec:
     """Absorb a BN that feeds a dense FC into the FC itself.
 
     BN(x) = scale * x + shift per channel, so W (BN(x)) + b equals
-    (W * scale) x + (W shift + b). When the FC input is a per-channel
-    vector replicated r times, scale and shift are repeated to match.
+    (W * scale) x + (W shift + b). The FC reads one input per BN channel.
     """
     if fc1.groups != 1:
         raise ShapeError("absorb_bn_into_fc1 expects a dense fc (groups = 1)")
-    if fc1.in_dim % bn.num_features:
-        raise ShapeError("fc in_dim must be a multiple of bn feature count")
-    rep = fc1.in_dim // bn.num_features
-    scale, shift = (np.repeat(a, rep) for a in bn.affine())
+    if fc1.in_dim != bn.num_features:
+        raise ShapeError("fc in_dim must equal bn feature count")
+    scale, shift = bn.affine()
     kernel = fc1.kernel * scale.reshape(1, -1)
     extra = fc1.kernel @ shift
     bias = extra if fc1.bias is None else fc1.bias + extra
@@ -158,7 +145,7 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
     a branch's window gets that branch's +0.0, as a full grid would give it.
     """
     check_train_weights(cfg, w)
-    fused = fuse_bn1d_into_fc(w.fc3, w.fc3_bn)
+    fused = fuse_bn_into_conv(w.fc3, w.fc3_bn)
     h, wd = cfg.part_h, cfg.part_w
     grid = fused.kernel.reshape(cfg.out_channels, h, wd, cfg.in_channels // cfg.groups, h, wd)
     bias = fused.bias

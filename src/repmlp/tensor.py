@@ -14,7 +14,8 @@ multiplies its kernel by the transposed input rows. A conv builds that
 matrix one slab of whole images at a time, at most SLAB_BYTES of it (or
 one image), and makes one _gemm call per slab and group into that slab's
 columns of the output, so the patch memory is bounded by the slab and not
-by the batch. The FC makes one call per group. The GEMM's
+by the batch. An FC and a 1x1 conv need no patch matrix and make one call
+per group, through one loop, _grouped_gemm. The GEMM's
 summation order is fixed: the output positions are cut into tiles of TILE,
 the dot products into KC-long chunks, each chunk a BLAS dot product, and
 the chunk sums are added by a fixed pairwise tree (blocked summation;
@@ -256,6 +257,14 @@ def _tile_products(w: np.ndarray, tiles: np.ndarray) -> np.ndarray:
     return total
 
 
+def _grouped_gemm(w: np.ndarray, cols: np.ndarray, out: np.ndarray, groups: int) -> None:
+    """One _gemm per group: row block j of w times row block j of cols
+    into row block j of out."""
+    qg, kg = w.shape[0] // groups, cols.shape[0] // groups
+    for gi in range(groups):
+        _gemm(w[gi * qg:(gi + 1) * qg], cols[gi * kg:(gi + 1) * kg], out[gi * qg:(gi + 1) * qg])
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Grouped 2-D convolution with zero padding, run at spec.stride.
 
@@ -269,8 +278,9 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     columns j, j+s, ..., and one copy per tap row i then takes rows i, i+s,
     ... of every such plane. That is kh+kw copies, and at stride 1 each
     runs over whole H_out x W_out planes. Each slab and group makes one
-    _gemm call into its columns of the result. A 1x1 conv reads every s-th
-    row and column of the channel-major input, one _gemm call per group.
+    _gemm call into its columns of the result. A 1x1 conv needs no patch
+    matrix: every s-th row and column of the channel-major input goes to
+    _grouped_gemm, as grouped_fc's input does.
     The bias is added last, and the result is transposed back to
     (N, C, H, W) once.
     """
@@ -301,10 +311,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     kernel = spec.kernel.reshape(out_ch, k)
     out = np.empty((out_ch, m), dtype=x.dtype)
     if kh == kw == 1:
-        xs = xc[:, :, ::s, ::s]
-        for gi in range(g):
-            _gemm(kernel[gi * og:(gi + 1) * og], xs[gi * cg:(gi + 1) * cg].reshape(cg, m),
-                  out[gi * og:(gi + 1) * og])
+        _grouped_gemm(kernel, xc[:, :, ::s, ::s].reshape(c, m), out, g)
     else:
         per_image = k * ho * wo
         per_shifted = cg * kw * hp * wo
@@ -331,8 +338,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 def grouped_fc(v: np.ndarray, spec: FcSpec) -> np.ndarray:
     """Grouped fully connected layer on (N, P) inputs.
 
-    One _gemm call per group, with the group's kernel rows against its
-    transposed input rows, and the bias added last. That is bit for bit a
+    _grouped_gemm runs the kernel against the transposed input, one _gemm
+    call per group, and the bias is added last. That is bit for bit a
     grouped 1x1 convolution of the input reshaped to (N, P, 1, 1) with the
     kernel viewed as (Q, P/g, 1, 1). Output feature block j depends only
     on input block j.
@@ -344,13 +351,8 @@ def grouped_fc(v: np.ndarray, spec: FcSpec) -> np.ndarray:
     n, p = v.shape
     if p != spec.in_dim:
         raise ShapeError(f"fc input has {p} features, spec expects {spec.in_dim}")
-    g = spec.groups
-    pg = p // g
-    qg = spec.out_dim // g
     out = np.empty((n, spec.out_dim), dtype=v.dtype)
-    for gi in range(g):
-        _gemm(spec.kernel[gi * qg:(gi + 1) * qg], v[:, gi * pg:(gi + 1) * pg].T,
-              out[:, gi * qg:(gi + 1) * qg].T)
+    _grouped_gemm(spec.kernel, v.T, out.T, spec.groups)
     if spec.bias is not None:
         out += spec.bias
     return out

@@ -6,6 +6,7 @@ line by line. Run with `pytest -rA tests/test_acceptance.py`.
 """
 
 import dataclasses
+import os
 import re
 
 import numpy as np
@@ -33,7 +34,6 @@ from repmlp.reparam import (
     conv_to_fc,
     convert_block,
     forward_infer,
-    fuse_bn1d_into_fc,
     fuse_bn_into_conv,
     absorb_bn_into_fc1,
 )
@@ -121,7 +121,7 @@ def test_bn_fusions_preserve_forwards():
         v = rng.uniform(-1, 1, (3, p)).astype(f32)
         raw = grouped_fc(v, fc)
         want = batchnorm_inference(raw.reshape(3, q, 1, 1), bn1).reshape(3, q)
-        got = grouped_fc(v, fuse_bn1d_into_fc(fc, bn1))
+        got = grouped_fc(v, fuse_bn_into_conv(fc, bn1))
         worst["fc_bn"] = max(worst["fc_bn"], float(np.max(np.abs(got - want))))
 
         # BN ahead of the dense entry FC -> FC with shifted bias
@@ -376,3 +376,25 @@ def test_reports_and_checkpoints_deterministic(tmp_path, capsys):
             f"grid gives the same cell lines in permuted order, train and "
             f"collapsed checkpoints byte-identical after reload "
             f"({first.stat().st_size} and {third.stat().st_size} bytes)")
+
+
+def test_benchmark_tracer_finds_every_wrapped_name(monkeypatch):
+    # the benchmark traces library functions by name; a renamed or removed
+    # one makes its install raise AttributeError
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import spans
+
+    import repmlp
+    import repmlp.cli
+
+    tracer = spans.Tracer()
+    try:
+        spans.install_layers(tracer, repmlp, "models.run_model")
+        sites = len(tracer._patched)
+        wrapped = hasattr(repmlp.tensor.conv2d, "__wrapped__")
+    finally:
+        tracer.uninstall()
+    restored = not hasattr(repmlp.tensor.conv2d, "__wrapped__")
+    _report(sites > 0 and wrapped and restored, "benchmark_tracer_finds_every_wrapped_name",
+            f"{sites} call sites wrapped and restored")

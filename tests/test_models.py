@@ -7,6 +7,7 @@ from repmlp.block import RepMLPConfig
 from repmlp.models import (
     MODEL_BUILDERS,
     Model,
+    _analyze,
     block_flops,
     block_params,
     build_named_model,
@@ -20,11 +21,16 @@ from repmlp.models import (
     count_params,
     fc_layer,
     init_model_weights,
-    output_shape,
     pool_layer,
     run_model,
 )
 from repmlp.tensor import ShapeError
+
+
+def shape_of(model):
+    """The output shape that model accounting walks the graph to."""
+    return _analyze(model.layers, ("map",) + model.input_shape)[2]
+
 
 # component-sum oracle, worked out once by hand for a mid-size block:
 # C = O = 256, 7x7 tiles on a 14x14 map (4 tiles), g = 8, branches {1,3,5},
@@ -119,7 +125,7 @@ def test_resnet50_structure():
     kinds = [layer.kind for layer in model.layers]
     assert kinds[0] == "conv" and model.layers[0].attr("k") == 7
     assert kinds.count("add") == 16          # 3 + 4 + 6 + 3 bottlenecks
-    assert output_shape(model) == ("vec", 1000)
+    assert shape_of(model) == ("vec", 1000)
     # every conv in the train graph is bias-free and carries its bn
     def walk(layers):
         for layer in layers:
@@ -197,7 +203,7 @@ def test_pure_mlp_structure():
     assert all(c.branch_kernels == (1, 3, 5, 7) for c in blocks)
     assert not blocks[-1].has_global_path    # tile covers the 8x8 map
     assert blocks[0].gp_hidden == 832
-    assert output_shape(model) == ("vec", 10)
+    assert shape_of(model) == ("vec", 10)
     with pytest.raises(ShapeError):
         build_pure_mlp_cifar(input_res=64)
 
@@ -338,7 +344,7 @@ def test_conv_and_fc_layer_validation():
     with pytest.raises(ShapeError):
         count_flops(Model("too-wide", (3, 4, 4), (conv_layer(3, 3, 5),)))
     fits = Model("fits", (3, 4, 4), (conv_layer(3, 3, 5, pad=1),))
-    assert output_shape(fits) == ("map", 3, 2, 2)
+    assert shape_of(fits) == ("map", 3, 2, 2)
 
 
 def test_counting_rejects_bad_pools():
@@ -352,6 +358,6 @@ def test_counting_rejects_bad_pools():
     # a 5x5 window fits a 4x4 map padded by 2, and a 3x3 pad-1 window a 1x1 map
     for k, pad, size in ((5, 2, 4), (3, 1, 1)):
         fits = Model("fits", (3, size, size), (pool_layer("max", k, 1, pad),))
-        assert output_shape(fits) == ("map", 3, size, size)
+        assert shape_of(fits) == ("map", 3, size, size)
     with pytest.raises(ShapeError):
         _max_pool(np.ones((1, 1, 3, 3), np.float32), 6, 1, 0)

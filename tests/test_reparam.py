@@ -1,19 +1,20 @@
 """Folding engine: fusion oracles, FC-from-conv, and end-to-end equivalence."""
 
 import cProfile
+import dataclasses
 import pstats
 
 import numpy as np
 import pytest
 
-from repmlp.block import RepMLPConfig, forward_train, random_train_weights
+from repmlp.block import RepMLPConfig, RepMLPTrainWeights, forward_train, random_train_weights
 from repmlp.checkpoint import load_block_checkpoint, save_infer_checkpoint
+from repmlp.models import MODEL_BUILDERS
 from repmlp.reparam import (
     absorb_bn_into_fc1,
     conv_to_fc,
     convert_block,
     forward_infer,
-    fuse_bn1d_into_fc,
     fuse_bn_into_conv,
 )
 from repmlp.tensor import (
@@ -25,7 +26,7 @@ from repmlp.tensor import (
     conv2d,
     grouped_fc,
 )
-from repmlp.verify import _PART_MULTIPLIERS, build_grid, check_cell
+from repmlp.verify import _PART_MULTIPLIERS, build_grid, check_cell, format_config
 
 EPS = 1e-5
 
@@ -70,12 +71,15 @@ def test_fuse_bn_into_conv_composite_forward():
 
 
 def test_fuse_bn_into_conv_rejects_biased_conv():
-    conv = ConvSpec(np.ones((1, 1, 1, 1)), np.zeros(1), (0, 0), 1)
-    with pytest.raises(ShapeError):
-        fuse_bn_into_conv(conv, bn_of([0.0], [1.0], [1.0], [0.0]))
+    bn = bn_of([0.0], [1.0], [1.0], [0.0])
+    for spec in (ConvSpec(np.ones((1, 1, 1, 1)), np.zeros(1), (0, 0), 1),
+                 FcSpec(np.ones((1, 1)), np.zeros(1), 1)):
+        with pytest.raises(ShapeError):
+            fuse_bn_into_conv(spec, bn)
 
 
-def test_fuse_bn1d_into_fc_composite_forward():
+def test_fuse_bn_into_conv_fc_composite_forward():
+    # an FC is a 1x1 conv to the fold: rows scale, groups carry over
     rng = np.random.default_rng(2)
     for _ in range(25):
         g = int(rng.choice([1, 2, 4]))
@@ -86,7 +90,9 @@ def test_fuse_bn1d_into_fc_composite_forward():
         v = rng.normal(size=(3, p))
         raw = grouped_fc(v, fc).reshape(3, q, 1, 1)
         want = batchnorm_inference(raw, bn).reshape(3, q)
-        got = grouped_fc(v, fuse_bn1d_into_fc(fc, bn))
+        fused = fuse_bn_into_conv(fc, bn)
+        assert isinstance(fused, FcSpec) and fused.groups == g
+        got = grouped_fc(v, fused)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
 
@@ -101,19 +107,18 @@ def test_absorb_bn_into_fc1_scalar_oracle():
 
 def test_absorb_bn_into_fc1_composite_forward():
     rng = np.random.default_rng(3)
-    for rep in (1, 2):    # fc input = channel vector, maybe repeated per channel
-        for _ in range(15):
-            c, d = 6, 4
-            bn = bn_of(rng.normal(size=c), rng.uniform(0.5, 1.5, c),
-                       rng.normal(size=c), rng.normal(size=c))
-            fc1 = FcSpec(rng.normal(size=(d, c * rep)), rng.normal(size=d), 1)
-            pooled = rng.normal(size=(5, c, 1, 1))
-            normed = batchnorm_inference(pooled, bn).reshape(5, c)
-            v = np.repeat(normed, rep, axis=1)
-            want = grouped_fc(v, fc1)
-            got = grouped_fc(np.repeat(pooled.reshape(5, c), rep, axis=1),
-                             absorb_bn_into_fc1(bn, fc1))
-            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+    c, d = 6, 4
+    for _ in range(15):
+        bn = bn_of(rng.normal(size=c), rng.uniform(0.5, 1.5, c),
+                   rng.normal(size=c), rng.normal(size=c))
+        fc1 = FcSpec(rng.normal(size=(d, c)), rng.normal(size=d), 1)
+        pooled = rng.normal(size=(5, c, 1, 1))
+        want = grouped_fc(batchnorm_inference(pooled, bn).reshape(5, c), fc1)
+        got = grouped_fc(pooled.reshape(5, c), absorb_bn_into_fc1(bn, fc1))
+        np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+    # the FC reads one input per BN channel; a replicated input is refused
+    with pytest.raises(ShapeError):
+        absorb_bn_into_fc1(bn, FcSpec(rng.normal(size=(d, 2 * c)), rng.normal(size=d), 1))
 
 
 def test_conv_to_fc_k1_is_scaled_identity():
@@ -309,7 +314,7 @@ def sequential_grid_sum(cfg, w):
     """fc3 as a fold that builds every grid: the BN-folded fc3, then each
     BN-fused branch's zero-filled tap-scatter grid added in ascending kernel
     order."""
-    fused = fuse_bn1d_into_fc(w.fc3, w.fc3_bn)
+    fused = fuse_bn_into_conv(w.fc3, w.fc3_bn)
     kernel, bias = fused.kernel.copy(), fused.bias.copy()
     for conv, bn in w.branches:
         branch = fuse_bn_into_conv(conv, bn)
@@ -512,3 +517,110 @@ def test_quick_grid_covers_every_partition_multiplier():
     assert seen == set(_PART_MULTIPLIERS)
     assert sum(c.has_global_path for c in quick) >= len(quick) // 2
     assert len(quick) == 64
+
+
+EXACT_EPS = 2.0 ** -17
+FRAC_BITS = 20
+
+
+def exact_cell(cfg, seed, batch=2):
+    """f64 block weights and input on which both forms are exact.
+
+    Every kernel, bias, BN mean, gamma and beta, and every input value is
+    j/8 for an integer j in [-4, 4], so |value| <= u = 1/2. Each BN has
+    var = 4^k - 2^-17 (k = 0 or 1) and eps = 2^-17: var + eps is exactly 1
+    or 4, so std is 1 or 2, the BN scale gamma/std is a multiple of 2^-4
+    with |scale| <= 1/2, and the shift beta - mean * scale a multiple of
+    2^-7 with |shift| <= 3/4. One pixel per (image, channel, tile) then
+    moves by less than h*w/8 so that the tile sum is a multiple of h*w/8:
+    every tile mean, the global path's average pool, is a multiple of 2^-3
+    and exact, and no input value exceeds X = 1/2 + (h*w - 1)/8 in magnitude.
+
+    Bit budget. Along the deepest path of either form, the powers of two
+    that every value is a multiple of are: input and pooled tile 2^-3; BN
+    2^-7; fc1 (kernel 2^-3) 2^-10, and folded fc1 (kernel 2^-7 times the
+    pooled 2^-3, bias 2^-10) the same; fc2 2^-13; the tile map (input plus
+    the global path) 2^-13; a branch conv or fc3 (kernel 2^-3) 2^-16; their
+    BN, and the folded fc3 (kernel 2^-7, bias 2^-7), 2^-20 = 2^-FRAC_BITS.
+    A multiple of 2^-20 below 2^(53 - 20) in magnitude is an f64 value, so
+    when magnitude_bound(cfg) is below 2^33 no product or partial sum of
+    either form rounds: the summation order (BLAS kernel, GEMM chunks and
+    tiles) cannot matter, and both forms give the exact result, bit for
+    bit, on any host.
+    """
+    rng = np.random.default_rng(seed)
+
+    def dyadic(shape):
+        return rng.integers(-4, 5, shape) / 8.0
+
+    def spec(s):
+        return dataclasses.replace(s, kernel=dyadic(s.kernel.shape),
+                                   bias=None if s.bias is None else dyadic(s.bias.shape))
+
+    def bn(n):
+        var = 4.0 ** rng.integers(0, 2, n) - EXACT_EPS
+        return BnParams(dyadic(n), var, dyadic(n), dyadic(n), eps=EXACT_EPS)
+
+    w = random_train_weights(cfg, rng, np.float64)
+    gp = cfg.has_global_path
+    w = RepMLPTrainWeights(
+        fc3=spec(w.fc3), fc3_bn=bn(cfg.fc_out_dim),
+        branches=tuple((spec(conv), bn(cfg.out_channels)) for conv, _ in w.branches),
+        gp_bn=bn(cfg.in_channels) if gp else None,
+        fc1=spec(w.fc1) if gp else None, fc2=spec(w.fc2) if gp else None)
+    ints = rng.integers(-4, 5, (batch, cfg.in_channels, cfg.height, cfg.width))
+    h, wd = cfg.part_h, cfg.part_w
+    tiles = ints.reshape(batch, cfg.in_channels, cfg.parts_h, h, cfg.parts_w, wd)
+    tiles[:, :, :, 0, :, 0] -= tiles.sum(axis=(3, 5)) % (h * wd)
+    return w, ints / 8.0
+
+
+def magnitude_bound(cfg):
+    """An upper bound on |value| of every product, partial sum and output of
+    both forms on exact_cell draws: a dot product's partial sums are
+    bounded by the sum of its |products| plus |bias|."""
+    u = 0.5
+    area = cfg.part_h * cfg.part_w
+    x = u + (area - 1) / 8
+    tile = x
+    bounds = [area * x]  # a tile sum, before the pool divides it
+    if cfg.has_global_path:
+        hidden = cfg.in_channels * u * (u * x + 0.75) + u
+        tile = x + cfg.gp_hidden * u * hidden + u
+        bounds += [hidden, tile]
+    fan_in = cfg.fc_in_dim // cfg.groups
+    terms = 1 + len(cfg.branch_kernels)
+    # fc3 (or a branch conv, whose fan-in is no larger) before its BN;
+    # after, the sum of every path, which bounds the folded fc3 too
+    bounds += [fan_in * u * tile, terms * (fan_in * u * u * tile + 0.75)]
+    return max(bounds)
+
+
+def bundled_block_configs():
+    """Distinct block configs of every MODEL_BUILDERS model at its default size."""
+    found = {}
+
+    def walk(layers):
+        for layer in layers:
+            if layer.kind == "repmlp_train":
+                found.setdefault(layer.attr("cfg"))
+            for branch in layer.children:
+                walk(branch)
+
+    for build in MODEL_BUILDERS.values():
+        walk(build().layers)
+    return list(found)
+
+
+def test_fold_is_exact_on_dyadic_draws():
+    # no tolerance: a fold defect far below f32 rounding noise fails here
+    bundled = bundled_block_configs()
+    assert len(bundled) == 7
+    for cfg in bundled + list(build_grid("quick")):
+        bound = magnitude_bound(cfg)
+        assert bound < 2.0 ** (53 - FRAC_BITS), format_config(cfg)
+        w, x = exact_cell(cfg, 1)
+        train = forward_train(x, cfg, w)
+        infer = forward_infer(x, cfg, convert_block(cfg, w))
+        assert np.abs(train).max() <= bound, format_config(cfg)
+        assert np.array_equal(train, infer), format_config(cfg)

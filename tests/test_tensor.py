@@ -276,16 +276,20 @@ def test_grouped_fc_dense_matches_matmul():
 
 
 def test_grouped_fc_equals_grouped_one_by_one_conv():
+    # both run one group loop over _gemm; N = 33 is a full 32-column tile
+    # plus a ragged one, and every P / g (320, 160, 80) spans KC chunks
     rng = np.random.default_rng(8)
-    for g in (1, 2, 4):
-        p, q = 8, 12
-        v = rng.normal(size=(3, p))
-        kernel = rng.normal(size=(q, p // g))
-        bias = rng.normal(size=q)
-        fc = grouped_fc(v, FcSpec(kernel, bias, g))
-        conv = conv2d(v.reshape(3, p, 1, 1),
-                      ConvSpec(kernel.reshape(q, p // g, 1, 1), bias, (0, 0), g))
-        np.testing.assert_array_equal(fc, conv.reshape(3, q))
+    p, q = 320, 12
+    for dtype in (np.float32, np.float64):
+        for n in (1, 3, 33):
+            for g in (1, 2, 4):
+                v = rng.normal(size=(n, p)).astype(dtype)
+                kernel = rng.normal(size=(q, p // g)).astype(dtype)
+                bias = rng.normal(size=q).astype(dtype)
+                fc = grouped_fc(v, FcSpec(kernel, bias, g))
+                conv = conv2d(v.reshape(n, p, 1, 1),
+                              ConvSpec(kernel.reshape(q, p // g, 1, 1), bias, (0, 0), g))
+                assert np.array_equal(fc, conv.reshape(n, q))
 
 
 def test_grouped_fc_validation():
