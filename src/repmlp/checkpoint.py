@@ -88,7 +88,9 @@ def _write_tensor(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
     fh.write(struct.pack("<B", payload.ndim))
     for d in payload.shape:
         fh.write(struct.pack("<I", d))
-    fh.write(payload.tobytes())
+    # a flat byte view of the array's own buffer: no staging copy, and unlike
+    # a memoryview cast it also takes a zero-size array
+    fh.write(payload.reshape(-1).view(np.uint8))
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
@@ -111,21 +113,40 @@ def _read_tensor(fh: BinaryIO, file_size: int) -> tuple[str, np.ndarray]:
     if nbytes > left:
         raise CheckpointError(f"truncated checkpoint: tensor {name!r} of dims {dims} "
                               f"needs {nbytes} bytes, {left} left")
-    arr = np.frombuffer(_read_exact(fh, nbytes), dtype="<f4").reshape(dims)
-    return name, arr.astype(np.float32)
+    try:
+        arr = np.empty(dims, dtype="<f4")
+    except ValueError as exc:  # a rank past numpy's dimension limit
+        raise CheckpointError(f"tensor {name!r}: {exc}") from exc
+    # read straight into the returned array; on a little-endian host the
+    # float32 view below is the same buffer
+    if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+        raise CheckpointError("truncated checkpoint")
+    return name, arr.astype(np.float32, copy=False)
 
 
 def save_checkpoint(path: str, config: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write a checkpoint. Tensor order follows dict insertion order."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", FORMAT_VERSION))
-        raw_cfg = json.dumps(config, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(raw_cfg)))
-        fh.write(raw_cfg)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            _write_tensor(fh, name, arr)
+    """Write a checkpoint. Tensor order follows dict insertion order.
+
+    The file is written beside path under a temporary name and renamed over
+    path once complete, so a write that fails partway leaves no partial file
+    and any old file at path unchanged.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<B", FORMAT_VERSION))
+            raw_cfg = json.dumps(config, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<I", len(raw_cfg)))
+            fh.write(raw_cfg)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                _write_tensor(fh, name, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:

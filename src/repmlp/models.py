@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .block import RepMLPConfig, forward_train, random_bn, random_train_weights
+from .block import RepMLPConfig, _uniform, forward_train, random_bn, random_train_weights
 from .reparam import convert_block, forward_infer, fuse_bn_into_conv
 from .tensor import (
     ConvSpec,
@@ -281,14 +281,14 @@ def _init_layers(layers, rng, dtype):
         if layer.kind == "conv":
             g, out_ch, bn = layer.attr("groups"), layer.attr("out_ch"), layer.attr("bn")
             shape = (out_ch, layer.attr("in_ch") // g, layer.attr("k"), layer.attr("k"))
-            bias = None if bn else rng.uniform(-0.5, 0.5, out_ch).astype(dtype)
-            conv = ConvSpec(rng.uniform(-0.5, 0.5, shape).astype(dtype), bias,
+            bias = None if bn else _uniform(rng, out_ch, -0.5, 0.5, dtype)
+            conv = ConvSpec(_uniform(rng, shape, -0.5, 0.5, dtype), bias,
                             (layer.attr("pad"), layer.attr("pad")), g, layer.attr("stride"))
             weights.append((conv, random_bn(rng, out_ch, dtype)) if bn else conv)
         elif layer.kind == "fc":
             d_in, d_out = layer.attr("in_dim"), layer.attr("out_dim")
-            bias = rng.uniform(-0.5, 0.5, d_out).astype(dtype)
-            weights.append(FcSpec(rng.uniform(-0.5, 0.5, (d_out, d_in)).astype(dtype), bias, 1))
+            bias = _uniform(rng, d_out, -0.5, 0.5, dtype)
+            weights.append(FcSpec(_uniform(rng, (d_out, d_in), -0.5, 0.5, dtype), bias, 1))
         elif layer.kind == "repmlp_train":
             weights.append(random_train_weights(layer.attr("cfg"), rng, dtype))
         elif layer.kind == "repmlp_infer":

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import RepMLPConfig, RepMLPTrainWeights, forward_train, random_train_weights
+from .block import (RepMLPConfig, RepMLPTrainWeights, _uniform, forward_train,
+                    random_train_weights)
 from .reparam import convert_block, forward_infer
 from .tensor import ShapeError
 
@@ -159,8 +160,7 @@ def draw_cell(cfg: RepMLPConfig, base_seed: int, dtype=np.float32,
     rng = cell_rng(base_seed, format_config(cfg))
     dt = np.dtype(dtype).type
     weights = random_train_weights(cfg, rng, dt)
-    x = rng.uniform(-1.0, 1.0,
-                    (batch, cfg.in_channels, cfg.height, cfg.width)).astype(dt)
+    x = _uniform(rng, (batch, cfg.in_channels, cfg.height, cfg.width), -1.0, 1.0, dt)
     return weights, x
 
 

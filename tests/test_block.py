@@ -1,13 +1,18 @@
-"""Training-form block: per-path oracles and validation."""
+"""Training-form block: per-path oracles, validation and the seeded draw."""
 
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+import repmlp
 from repmlp.block import (
+    DRAW_CHUNK,
     RepMLPConfig,
     RepMLPTrainWeights,
+    _uniform,
     check_train_weights,
     forward_train,
     global_perceptron,
@@ -258,3 +263,39 @@ def test_forward_rejects_mismatched_input():
     with pytest.raises(ShapeError):
         forward_train(np.zeros((1, 2, 8, 4)), cfg, w)
 
+
+
+# every size on either side of the chunk edges, each as an int, a 2-D and a 4-D shape
+DRAW_SHAPES = [
+    1, (1, 1), (1, 1, 1, 1),
+    DRAW_CHUNK - 1, (7, 4681), (7, 31, 151, 1),
+    DRAW_CHUNK, (128, 256), (8, 8, 16, 32),
+    DRAW_CHUNK + 1, (99, 331), (3, 3, 11, 331),
+    3 * DRAW_CHUNK + 5, (37, 2657), (37, 1, 2657, 1),
+]
+
+
+@pytest.mark.parametrize("shape", DRAW_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lo, hi", [(-0.1, 0.1), (0.5, 1.5)])
+def test_uniform_equals_one_whole_draw(shape, dtype, lo, hi):
+    chunked, whole = np.random.default_rng(11), np.random.default_rng(11)
+    got = _uniform(chunked, shape, lo, hi, dtype)
+    want = whole.uniform(lo, hi, size=shape).astype(dtype)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+    assert chunked.random() == whole.random()  # same stream position after the draw
+
+
+def test_uniform_is_the_only_rng_uniform_call():
+    # every seeded draw goes through block._uniform, so the chunking has one home
+    outside = []
+    for path in sorted(pathlib.Path(repmlp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        home = [(f.lineno, f.end_lineno) for f in ast.walk(tree) if path.name == "block.py"
+                and isinstance(f, ast.FunctionDef) and f.name == "_uniform"]
+        outside += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "uniform"
+                    and not any(a <= node.lineno <= b for a, b in home)]
+    assert outside == []

@@ -2,11 +2,14 @@
 
 import dataclasses
 import hashlib
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repmlp import checkpoint
 from repmlp.block import RepMLPConfig, forward_train, random_train_weights
 from repmlp.checkpoint import (
     CheckpointError,
@@ -119,22 +122,103 @@ def test_missing_tensor_named_in_error(tmp_path):
         load_block_checkpoint(str(path))
 
 
-def test_duplicate_tensor_name_rejected(tmp_path):
-    # hand-assemble a file whose table repeats a name
-    arr = np.zeros(2, dtype="<f4")
+def _hand_built(path, record: bytes, entries) -> None:
+    """Write a file from (name, dims, payload) entries, bypassing save_checkpoint."""
     body = b""
-    for _ in range(2):
-        name = b"dup"
-        body += struct.pack("<H", len(name)) + name
-        body += struct.pack("<B", 1) + struct.pack("<I", 2) + arr.tobytes()
-    cfg_raw = b"{}"
-    blob = (b"RMLP" + struct.pack("<B", 1)
-            + struct.pack("<I", len(cfg_raw)) + cfg_raw
-            + struct.pack("<I", 2) + body)
+    for name, dims, payload in entries:
+        body += struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+        body += b"".join(struct.pack("<I", d) for d in dims) + payload
+    path.write_bytes(b"RMLP" + struct.pack("<B", 1) + struct.pack("<I", len(record)) + record
+                     + struct.pack("<I", len(entries)) + body)
+
+
+def test_duplicate_tensor_name_rejected(tmp_path):
+    payload = np.zeros(2, dtype="<f4").tobytes()
     path = tmp_path / "dup.rmlp"
-    path.write_bytes(blob)
+    _hand_built(path, b"{}", [(b"dup", (2,), payload)] * 2)
     with pytest.raises(CheckpointError, match="duplicate"):
         load_checkpoint(str(path))
+
+
+def test_zero_dim_tensor_reaches_the_checks(tmp_path):
+    # a declared 0 dim reads as an empty array, which the block check refuses
+    record = json.dumps(config_record(CFG, "train"), sort_keys=True).encode()
+    entries = [(name.encode(), (0, 8) if name == "fc3.kernel" else arr.shape,
+                b"" if name == "fc3.kernel" else arr.astype("<f4").tobytes())
+               for name, arr in weights_to_tensors(make_weights()).items()]
+    path = tmp_path / "zero.rmlp"
+    _hand_built(path, record, entries)
+    assert load_checkpoint(str(path))[1]["fc3.kernel"].shape == (0, 8)
+    with pytest.raises(CheckpointError, match="fc3"):
+        load_block_checkpoint(str(path))
+
+
+def test_rank_past_numpy_limit_rejected(tmp_path):
+    path = tmp_path / "rank.rmlp"
+    _hand_built(path, b"{}", [(b"deep", (1,) * 65, np.zeros(1, dtype="<f4").tobytes())])
+    with pytest.raises(CheckpointError, match="deep"):
+        load_checkpoint(str(path))
+
+
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
+    real_write = checkpoint._write_tensor
+    written = []
+
+    def fail_after_first(fh, name, arr):
+        if written:
+            raise OSError("disk full")
+        written.append(name)
+        real_write(fh, name, arr)
+
+    path = tmp_path / "w.rmlp"
+    monkeypatch.setattr(checkpoint, "_write_tensor", fail_after_first)
+    with pytest.raises(OSError, match="disk full"):
+        save_train_checkpoint(str(path), CFG, make_weights())
+    assert written and list(tmp_path.iterdir()) == []  # neither the file nor a temporary
+
+    monkeypatch.undo()
+    save_train_checkpoint(str(path), CFG, make_weights(1))
+    old = path.read_bytes()
+    written.clear()
+    monkeypatch.setattr(checkpoint, "_write_tensor", fail_after_first)
+    with pytest.raises(OSError, match="disk full"):
+        save_train_checkpoint(str(path), CFG, make_weights(2))
+    assert path.read_bytes() == old and list(tmp_path.iterdir()) == [path]
+
+
+# no global path: fc3 is a (4096, 2048) kernel, 32 MiB in float32
+BIG_CFG = RepMLPConfig(64, 64, 8, 8, 8, 8, groups=2, branch_kernels=(1, 3, 5, 7),
+                       gp_internal_dim=832)
+
+
+def _traced_peak(fn):
+    """(result, peak traced bytes above the start) of one call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+def test_big_block_save_stages_no_tensor_copy(tmp_path):
+    # each tensor is written from its own buffer
+    w = random_train_weights(BIG_CFG, np.random.default_rng(0), np.float32)
+    _, peak = _traced_peak(lambda: save_train_checkpoint(str(tmp_path / "big.rmlp"), BIG_CFG, w))
+    assert peak / 2 ** 20 < 1
+
+
+def test_big_block_load_stages_no_tensor_copy(tmp_path):
+    # each tensor is read into the array that is returned
+    w = random_train_weights(BIG_CFG, np.random.default_rng(0), np.float32)
+    path = tmp_path / "big.rmlp"
+    save_train_checkpoint(str(path), BIG_CFG, w)
+    del w
+    (_, _, loaded), peak = _traced_peak(lambda: load_block_checkpoint(str(path)))
+    returned = sum(a.nbytes for a in weights_to_tensors(loaded).values())
+    assert (peak - returned) / 2 ** 20 < 1
 
 
 def test_non_block_record_rejected(tmp_path):

@@ -371,24 +371,43 @@ def test_convert_block_signed_zero_diagonal_hand_case():
     assert np.count_nonzero(np.signbit(kernel)) == 9
 
 
+def _arrays(obj):
+    """Every array inside nested weight dataclasses, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def test_cifar_init_memory_bounded():
+    # each draw fills its float32 array in chunks; a whole-array float64 draw
+    # then astype peaked at 63.8 MiB over the arrays init returns
+    import tracemalloc
+
+    from repmlp.models import build_pure_mlp_cifar, init_model_weights
+
+    model = build_pure_mlp_cifar()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        weights = init_model_weights(model, np.random.default_rng(5), np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start - sum(a.nbytes for a in _arrays(weights))) / 2 ** 20 < 1
+
+
 def test_cifar_convert_memory_bounded():
     # convert adds each branch into fc3 through a strided view of a padded
     # kernel; a full (O, h, w, C/g, h, w) grid per branch peaked at 67.6 MB
     # over the arrays convert returns
     import tracemalloc
-    from dataclasses import fields, is_dataclass
 
     from repmlp.models import build_pure_mlp_cifar, convert_model_weights, init_model_weights
-
-    def arrays(obj):
-        if isinstance(obj, np.ndarray):
-            yield obj
-        elif is_dataclass(obj):
-            for f in fields(obj):
-                yield from arrays(getattr(obj, f.name))
-        elif isinstance(obj, (list, tuple)):
-            for item in obj:
-                yield from arrays(item)
 
     model = build_pure_mlp_cifar()
     weights = init_model_weights(model, np.random.default_rng(5), np.float32)
@@ -399,8 +418,8 @@ def test_cifar_convert_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    old = {id(a) for a in arrays(weights)}
-    new = {id(a): a.nbytes for a in arrays(deploy) if id(a) not in old}
+    old = {id(a) for a in _arrays(weights)}
+    new = {id(a): a.nbytes for a in _arrays(deploy) if id(a) not in old}
     assert (peak - start - sum(new.values())) / 2 ** 20 < 8
 
 
