@@ -127,12 +127,15 @@ def _read_tensor(fh: BinaryIO, file_size: int) -> tuple[str, np.ndarray]:
 def save_checkpoint(path: str, config: dict, tensors: dict[str, np.ndarray]) -> None:
     """Write a checkpoint. Tensor order follows dict insertion order.
 
-    The file is written beside path under a temporary name and renamed over
-    path once complete, so a write that fails partway leaves no partial file
-    and any old file at path unchanged.
+    The file is written beside path under a temporary name, flushed to disk
+    and renamed over path once complete, so a write that fails partway leaves
+    no partial file and any old file at path unchanged. The rename replaces
+    a symlink at path rather than writing through it. The pid in the
+    temporary name keeps processes apart; a name left by a killed process
+    with the same pid is overwritten.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "xb")
+    fh = open(tmp, "wb")
     try:
         with fh:
             fh.write(MAGIC)
@@ -143,6 +146,8 @@ def save_checkpoint(path: str, config: dict, tensors: dict[str, np.ndarray]) -> 
             fh.write(struct.pack("<I", len(tensors)))
             for name, arr in tensors.items():
                 _write_tensor(fh, name, arr)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

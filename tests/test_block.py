@@ -265,8 +265,10 @@ def test_forward_rejects_mismatched_input():
 
 
 
-# every size on either side of the chunk edges, each as an int, a 2-D and a 4-D shape
+# an empty draw, then every size on either side of the chunk edges, each as an
+# int, a 2-D and a 4-D shape
 DRAW_SHAPES = [
+    0, (0, 5),
     1, (1, 1), (1, 1, 1, 1),
     DRAW_CHUNK - 1, (7, 4681), (7, 31, 151, 1),
     DRAW_CHUNK, (128, 256), (8, 8, 16, 32),

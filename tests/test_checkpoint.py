@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
 
@@ -184,6 +185,18 @@ def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_train_checkpoint(str(path), CFG, make_weights(2))
     assert path.read_bytes() == old and list(tmp_path.iterdir()) == [path]
+
+
+
+def test_save_overwrites_a_stale_temporary_file(tmp_path):
+    # a save killed before its rename leaves <path>.<pid>.tmp; a later
+    # process that gets the same pid must still be able to save
+    path = tmp_path / "w.rmlp"
+    stale = tmp_path / f"w.rmlp.{os.getpid()}.tmp"
+    stale.write_bytes(b"left by a killed save")
+    save_train_checkpoint(str(path), CFG, make_weights())
+    assert list(tmp_path.iterdir()) == [path]
+    assert load_block_checkpoint(str(path))[0] == CFG
 
 
 # no global path: fc3 is a (4096, 2048) kernel, 32 MiB in float32
