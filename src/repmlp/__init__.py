@@ -27,7 +27,6 @@ from .models import (
     Model,
     block_flops,
     block_params,
-    build_named_model,
     build_pure_mlp_cifar,
     build_resnet50,
     build_wide_convnet,
@@ -42,7 +41,6 @@ from .reparam import (
     RepMLPInferWeights,
     absorb_bn_into_fc1,
     check_infer_weights,
-    conv_to_fc,
     convert_block,
     forward_infer,
     fuse_bn_into_conv,
@@ -89,7 +87,6 @@ __all__ = [
     "block_flops",
     "block_params",
     "build_grid",
-    "build_named_model",
     "build_pure_mlp_cifar",
     "build_resnet50",
     "build_wide_convnet",
@@ -98,7 +95,6 @@ __all__ = [
     "check_infer_weights",
     "check_train_weights",
     "conv2d",
-    "conv_to_fc",
     "convert_block",
     "convert_graph",
     "convert_model_weights",

@@ -301,20 +301,23 @@ def random_bn(rng: np.random.Generator, features: int, dtype=np.float32) -> BnPa
     )
 
 
+def random_conv_bn(rng: np.random.Generator, in_ch: int, out_ch: int, k: int, pad: int,
+                   groups: int, stride: int, dtype) -> tuple[ConvSpec, BnParams]:
+    """A bias-free k x k conv with its kernel uniform on [-0.5, 0.5], then
+    its BN from random_bn, drawn in that order. The one train-form conv+BN
+    draw: block branches and model conv layers both come from here."""
+    kernel = _uniform(rng, (out_ch, in_ch // groups, k, k), -0.5, 0.5, dtype)
+    conv = ConvSpec(kernel, None, (pad, pad), groups, stride)
+    return conv, random_bn(rng, out_ch, dtype)
+
+
 def random_train_weights(cfg: RepMLPConfig, rng: np.random.Generator,
                          dtype=np.float32) -> RepMLPTrainWeights:
     """Weights for randomized tests: independent uniform on [-0.5, 0.5]."""
     dtype = np.dtype(dtype).type
     c, o, g = cfg.in_channels, cfg.out_channels, cfg.groups
-    branches = []
-    for k in cfg.branch_kernels:
-        conv = ConvSpec(
-            kernel=_uniform(rng, (o, c // g, k, k), -0.5, 0.5, dtype),
-            bias=None,
-            padding=(k // 2, k // 2),
-            groups=g,
-        )
-        branches.append((conv, random_bn(rng, o, dtype)))
+    branches = tuple(random_conv_bn(rng, c, o, k, k // 2, g, 1, dtype)
+                     for k in cfg.branch_kernels)
     fc3 = FcSpec(kernel=_uniform(rng, (cfg.fc_out_dim, cfg.fc_in_dim // g), -0.5, 0.5, dtype),
                  bias=None, groups=g)
     gp_bn = fc1 = fc2 = None
@@ -328,6 +331,6 @@ def random_train_weights(cfg: RepMLPConfig, rng: np.random.Generator,
     return RepMLPTrainWeights(
         fc3=fc3,
         fc3_bn=random_bn(rng, cfg.fc_out_dim, dtype),
-        branches=tuple(branches),
+        branches=branches,
         gp_bn=gp_bn, fc1=fc1, fc2=fc2,
     )

@@ -30,10 +30,9 @@ from functools import partial
 
 import numpy as np
 
-from .block import RepMLPConfig, _uniform, forward_train, random_bn, random_train_weights
+from .block import RepMLPConfig, _uniform, forward_train, random_conv_bn, random_train_weights
 from .reparam import convert_block, forward_infer, fuse_bn_into_conv
 from .tensor import (
-    ConvSpec,
     FcSpec,
     ShapeError,
     _is_int,
@@ -81,17 +80,17 @@ def _require_ints(layer: str, minimum: int, **values) -> None:
 
 
 def conv_layer(in_ch: int, out_ch: int, k: int, stride: int = 1, pad: int = 0,
-               groups: int = 1, bn: bool = True) -> LayerSpec:
-    """bn=True is the train form (a bias-free conv followed by its BN);
-    bn=False is the deploy form (a conv with a bias). in_ch, out_ch, k,
-    stride and groups are ints >= 1, pad an int >= 0, and groups divides
-    both channel counts."""
+               groups: int = 1) -> LayerSpec:
+    """A train-form conv: a bias-free conv followed by its BN (bn=True in
+    the record; convert_graph makes the bn=False deploy record, a conv with
+    a bias). in_ch, out_ch, k, stride and groups are ints >= 1, pad an int
+    >= 0, and groups divides both channel counts."""
     _require_ints("conv", 1, in_ch=in_ch, out_ch=out_ch, k=k, stride=stride, groups=groups)
     _require_ints("conv", 0, pad=pad)
     if in_ch % groups or out_ch % groups:
         raise ShapeError(f"conv groups {groups} must divide in_ch {in_ch} and out_ch {out_ch}")
     return _layer("conv", in_ch=in_ch, out_ch=out_ch, k=k, stride=stride,
-                  pad=pad, groups=groups, bn=bn)
+                  pad=pad, groups=groups, bn=True)
 
 
 def fc_layer(in_dim: int, out_dim: int) -> LayerSpec:
@@ -278,21 +277,17 @@ def convert_graph(model: Model) -> Model:
 def _init_layers(layers, rng, dtype):
     weights = []
     for layer in layers:
-        if layer.kind == "conv":
-            g, out_ch, bn = layer.attr("groups"), layer.attr("out_ch"), layer.attr("bn")
-            shape = (out_ch, layer.attr("in_ch") // g, layer.attr("k"), layer.attr("k"))
-            bias = None if bn else _uniform(rng, out_ch, -0.5, 0.5, dtype)
-            conv = ConvSpec(_uniform(rng, shape, -0.5, 0.5, dtype), bias,
-                            (layer.attr("pad"), layer.attr("pad")), g, layer.attr("stride"))
-            weights.append((conv, random_bn(rng, out_ch, dtype)) if bn else conv)
+        if layer.kind == "conv" and layer.attr("bn"):
+            weights.append(random_conv_bn(rng, *(layer.attr(n) for n in (
+                "in_ch", "out_ch", "k", "pad", "groups", "stride")), dtype))
         elif layer.kind == "fc":
             d_in, d_out = layer.attr("in_dim"), layer.attr("out_dim")
             bias = _uniform(rng, d_out, -0.5, 0.5, dtype)
             weights.append(FcSpec(_uniform(rng, (d_out, d_in), -0.5, 0.5, dtype), bias, 1))
         elif layer.kind == "repmlp_train":
             weights.append(random_train_weights(layer.attr("cfg"), rng, dtype))
-        elif layer.kind == "repmlp_infer":
-            raise ShapeError("infer-form blocks are produced by conversion, not initialized")
+        elif layer.kind in ("conv", "repmlp_infer"):
+            raise ShapeError("deploy-form layers are produced by conversion, not initialized")
         elif layer.kind == "add":
             weights.append(tuple(_init_layers(b, rng, dtype) for b in layer.children))
         else:
@@ -301,7 +296,9 @@ def _init_layers(layers, rng, dtype):
 
 
 def init_model_weights(model: Model, rng: np.random.Generator, dtype=np.float32) -> list:
-    """Random weights aligned one-to-one with model.layers, drawn from rng."""
+    """Random train-form weights aligned one-to-one with model.layers, drawn
+    from rng. A deploy-form graph raises ShapeError: its weights come from
+    convert_model_weights."""
     return _init_layers(model.layers, rng, np.dtype(dtype).type)
 
 
@@ -366,7 +363,7 @@ def _run_layers(layers, weights, x):
         elif kind == "add":
             acc = None
             for branch, bw in zip(layer.children, w):
-                y = x if len(branch) == 0 else _run_layers(branch, bw, x)
+                y = _run_layers(branch, bw, x)
                 acc = y if acc is None else acc + y
             x = acc
         else:

@@ -139,22 +139,20 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
 
     Summation order is fixed for determinism: the fused fc3 kernel first,
     then the branches in their checked ascending kernel order. Each fused
-    branch's window view (see conv_to_fc) is added in place into the fused
-    fc3 arrays, which the BN fold has just made, so no input array is
+    branch's window view (see _window_view) is added in place into the
+    fused fc3 arrays, which the BN fold has just made, so no input array is
     written or shared and no per-branch grid is built. An fc3 entry outside
     a branch's window gets that branch's +0.0, as a full grid would give it.
     """
     check_train_weights(cfg, w)
-    fused = fuse_bn_into_conv(w.fc3, w.fc3_bn)
+    fc3 = fuse_bn_into_conv(w.fc3, w.fc3_bn)
     h, wd = cfg.part_h, cfg.part_w
-    grid = fused.kernel.reshape(cfg.out_channels, h, wd, cfg.in_channels // cfg.groups, h, wd)
-    bias = fused.bias
+    grid = fc3.kernel.reshape(cfg.out_channels, h, wd, cfg.in_channels // cfg.groups, h, wd)
+    bias = fc3.bias
     for conv, bn in w.branches:
         branch = fuse_bn_into_conv(conv, bn)
         grid += _window_view(branch.kernel, h, wd)
         bias += np.repeat(branch.bias, h * wd)
-    kernel = grid.reshape(fused.kernel.shape)
-    fc3 = FcSpec(kernel=kernel, bias=bias, groups=cfg.groups)
     fc1 = fc2 = None
     if cfg.has_global_path:
         fc1 = absorb_bn_into_fc1(w.gp_bn, w.fc1)

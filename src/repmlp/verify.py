@@ -10,7 +10,6 @@ byte-identical text. Cells run one after another in one thread.
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass
 
@@ -32,19 +31,10 @@ _PART_MULTIPLIERS = ((1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (2, 3), (3, 2),
 
 
 def thread_count() -> int:
-    """The REPMLP_THREADS setting, validated; defaults to 1.
-
-    Nothing in the library reads it: the sweep is single-threaded. It is
-    kept only for benchmark environment records that still report it.
+    """1: the sweep runs in one thread, and no environment variable changes
+    that. Kept only for benchmark environment records that still report it.
     """
-    raw = os.environ.get("REPMLP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ShapeError(f"REPMLP_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ShapeError("REPMLP_THREADS must be >= 1")
-    return n
+    return 1
 
 
 def format_config(cfg: RepMLPConfig) -> str:

@@ -18,10 +18,13 @@ from repmlp.block import (
     global_perceptron,
     local_perceptron,
     partition_perceptron,
+    random_bn,
+    random_conv_bn,
     random_train_weights,
 )
 from repmlp.reparam import check_infer_weights, convert_block, forward_infer
 from repmlp.tensor import BnParams, ConvSpec, FcSpec, ShapeError, partition
+from repmlp.verify import thread_count
 
 EPS = 1e-5
 
@@ -301,3 +304,32 @@ def test_uniform_is_the_only_rng_uniform_call():
                     and node.func.attr == "uniform"
                     and not any(a <= node.lineno <= b for a, b in home)]
     assert outside == []
+
+
+def test_random_conv_bn_draws_kernel_then_bn():
+    got, want = np.random.default_rng(4), np.random.default_rng(4)
+    conv, bn = random_conv_bn(got, 6, 4, 3, 1, 2, 2, np.float32)
+    kernel = _uniform(want, (4, 3, 3, 3), -0.5, 0.5, np.float32)
+    assert conv.kernel.tobytes() == kernel.tobytes() and conv.bias is None
+    assert (conv.padding, conv.groups, conv.stride) == ((1, 1), 2, 2)
+    ref = random_bn(want, 4, np.float32)
+    assert all(getattr(bn, f).tobytes() == getattr(ref, f).tobytes()
+               for f in ("mean", "var", "gamma", "beta"))
+    assert got.random() == want.random()
+
+
+def test_library_reads_no_environment_variable():
+    # every setting is an argument, so no variable can change a result
+    names, reads = ("environ", "getenv"), []
+    for path in sorted(pathlib.Path(repmlp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in names
+                  or isinstance(node, ast.alias) and node.name in names]
+    assert reads == []
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_thread_count_ignores_repmlp_threads(monkeypatch, value):
+    monkeypatch.setenv("REPMLP_THREADS", value)
+    assert thread_count() == 1

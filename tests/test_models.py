@@ -22,6 +22,7 @@ from repmlp.models import (
     fc_layer,
     init_model_weights,
     pool_layer,
+    repmlp_layer,
     run_model,
 )
 from repmlp.tensor import ShapeError
@@ -219,6 +220,13 @@ def test_convert_graph_deploy_form():
             for branch in layer.children:
                 walk(branch)
     walk(deploy.layers)
+    # deploy weights come only from the fold: a deploy conv and a deploy
+    # block are both refused at init
+    rng = np.random.default_rng(0)
+    block = Model("block", (4, 8, 8), (repmlp_layer(RepMLPConfig(4, 4, 8, 8, 4, 4), "infer"),))
+    for graph in (convert_graph(build_resnet50()), deploy, block):
+        with pytest.raises(ShapeError, match="produced by conversion"):
+            init_model_weights(graph, rng)
 
 
 def test_forward_matches_after_graph_conversion():

@@ -2,6 +2,7 @@
 
 import cProfile
 import dataclasses
+import hashlib
 import pstats
 
 import numpy as np
@@ -26,7 +27,7 @@ from repmlp.tensor import (
     conv2d,
     grouped_fc,
 )
-from repmlp.verify import _PART_MULTIPLIERS, build_grid, check_cell, format_config
+from repmlp.verify import _PART_MULTIPLIERS, build_grid, check_cell, format_config, parse_config
 
 EPS = 1e-5
 
@@ -643,3 +644,24 @@ def test_fold_is_exact_on_dyadic_draws():
         infer = forward_infer(x, cfg, convert_block(cfg, w))
         assert np.abs(train).max() <= bound, format_config(cfg)
         assert np.array_equal(train, infer), format_config(cfg)
+
+
+# sha256 of the f64 outputs of exact_cell(cfg, 1) for the repmlp-res50 c3
+# block and the first pure-mlp-cifar block. No operation rounds on these
+# draws, so unlike every other byte pin these hold on any host and BLAS
+# build. exact_cell draws after random_train_weights, so they also pin how
+# much of the stream that draw takes.
+EXACT_OUTPUT_SHA256 = {
+    "C=64,O=64,H=28,W=28,h=7,w=7,g=8,ks=1-3-5,gp=16384":
+        "8c1e150891e33f4503ae86185fd275167e9cc4f384b5fe0799c6880738a89411",
+    "C=16,O=16,H=32,W=32,h=8,w=8,g=2,ks=1-3-5-7,gp=832":
+        "f73f8e65ce9e2d71eb84d51c9ad45565effbd0dbcb7dfec56a85fc214712a5d3",
+}
+
+
+def test_exact_outputs_match_pinned_digests():
+    for text, digest in EXACT_OUTPUT_SHA256.items():
+        cfg = parse_config(text)
+        w, x = exact_cell(cfg, 1)
+        for y in (forward_train(x, cfg, w), forward_infer(x, cfg, convert_block(cfg, w))):
+            assert hashlib.sha256(y.tobytes()).hexdigest() == digest, text

@@ -76,7 +76,7 @@ def write_artefacts(out: str) -> None:
     for name, res, batch, tag in (("pure-mlp-cifar", 32, 4, ""), ("wide-convnet", 32, 4, ""),
                                   ("repmlp-res50", 224, 1, ""),
                                   ("pure-mlp-cifar", 32, 33, "_b33")):
-        model = models.build_named_model(name, res)
+        model = models.MODEL_BUILDERS[name](input_res=res)
         rng = np.random.default_rng(1234)
         weights = models.init_model_weights(model, rng, np.float32)
         x = rng.uniform(-1, 1, (batch,) + model.input_shape).astype(np.float32)
