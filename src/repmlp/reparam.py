@@ -11,7 +11,10 @@ tilewise FC kernel:
   are the responses to one-hot basis images (an identity matrix reshaped to
   tiles, replicated once per group); one-hot probes make each response value
   a single kernel tap, so the matrix is a strided window view of the kernel
-  zero-padded to (2h-1, 2w-1), which the fold adds straight into fc3;
+  zero-padded to (2h-1, 2w-1). The fold lays that padded kernel out as
+  window planes, one (2h-1, w) plane per tile column, so that each (i, j)
+  block of the view is one contiguous h*w run, and adds the view straight
+  into fc3, one slab of output channels at a time;
 * the BN in front of the global-path MLP is absorbed into FC1, which is a
   composition of two affine maps.
 
@@ -25,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
+from . import tensor
 from .block import (RepMLPConfig, RepMLPTrainWeights, check_global_mlp, check_train_weights,
                     global_perceptron)
 from .tensor import BnParams, ConvSpec, FcSpec, ShapeError, grouped_fc, inverse_partition
@@ -83,24 +87,43 @@ def absorb_bn_into_fc1(bn: BnParams, fc1: FcSpec) -> FcSpec:
     return FcSpec(kernel=kernel, bias=bias, groups=1)
 
 
-def _window_view(kernel: np.ndarray, part_h: int, part_w: int) -> np.ndarray:
-    """The (O, h, w, C/g, h, w) FC-kernel grid of a resolution-preserving conv
-    kernel, as a read-only strided view; nothing of grid size is built.
+def _plane_band(kernel: np.ndarray, part_h: int, part_w: int) -> tuple[slice, np.ndarray]:
+    """The plane rows a resolution-preserving conv kernel covers, and their
+    values as a strided view of dims (O, C/g, w, rows, w).
 
     The kernel is zero-padded into q of dims (O, C/g, 2h-1, 2w-1), centred at
-    (h-1, w-1), and the view reads [o, a, b, c, i, j] = q[o, c, h-1-a+i,
-    w-1-b+j], which is kernel[o, c, i-a+kh//2, j-b+kw//2] inside the window
-    and +0.0 outside it. Taps further than h-1 rows or w-1 columns from the
-    centre can never land in a tile, so they are cropped.
+    (h-1, w-1); the window planes of q (see _window_view) are
+    planes[o, c, b, r, j] = q[o, c, r, w-1-b+j]. Only rows h-1-dh ... h-1+dh
+    of q hold taps, so only those rows are built and returned; the caller
+    keeps every other plane row at +0.0. Taps further than h-1 rows or w-1
+    columns from the centre can never land in a tile, so they are cropped.
     """
     o, cg, kh, kw = kernel.shape
     ph, pw = kh // 2, kw // 2
     dh, dw = min(ph, part_h - 1), min(pw, part_w - 1)
-    q = np.zeros((o, cg, 2 * part_h - 1, 2 * part_w - 1), dtype=kernel.dtype)
-    q[:, :, part_h - 1 - dh:part_h + dh, part_w - 1 - dw:part_w + dw] = \
-        kernel[:, :, ph - dh:ph + dh + 1, pw - dw:pw + dw + 1]
-    windows = sliding_window_view(q, (part_h, part_w), axis=(2, 3))
-    return windows[:, :, ::-1, ::-1].transpose(0, 2, 3, 1, 4, 5)
+    q = np.zeros((o, cg, 2 * dh + 1, 2 * part_w - 1), dtype=kernel.dtype)
+    q[:, :, :, part_w - 1 - dw:part_w + dw] = kernel[:, :, ph - dh:ph + dh + 1, pw - dw:pw + dw + 1]
+    s0, s1, s2, s3 = q.strides
+    band = as_strided(q[:, :, :, part_w - 1:], (o, cg, part_w, 2 * dh + 1, part_w),
+                      (s0, s1, -s3, s2, s3), writeable=False)
+    return slice(part_h - 1 - dh, part_h + dh), band
+
+
+def _window_view(planes: np.ndarray, part_h: int) -> np.ndarray:
+    """The (O, h, w, C/g, h, w) FC-kernel grid of a conv kernel, as a
+    read-only strided view of its window planes; nothing of grid size is built.
+
+    planes has dims (O, C/g, w, 2h-1, w) and holds q of _plane_band as
+    planes[o, c, b, r, j] = q[o, c, r, w-1-b+j]. The view reads
+    [o, a, b, c, i, j] = planes[o, c, b, h-1-a+i, j] = q[o, c, h-1-a+i,
+    w-1-b+j], which is kernel[o, c, i-a+kh//2, j-b+kw//2] inside the window
+    and +0.0 outside it. For each (o, a, b, c) the (i, j) block is rows
+    h-1-a ... 2h-2-a of one plane: one contiguous h*w run, as in fc3.
+    """
+    o, cg, part_w = planes.shape[:3]
+    s0, s1, s2, s3, s4 = planes.strides
+    return as_strided(planes[:, :, :, part_h - 1:], (o, part_h, part_w, cg, part_h, part_w),
+                      (s0, -s3, s2, s1, s3, s4), writeable=False)
 
 
 def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> FcSpec:
@@ -116,8 +139,9 @@ def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> Fc
     matrix is assembled by direct placement instead of running the probes:
     entry [(o, a, b), (c, i, j)] is kernel[o, c, i - a + ph, j - b + pw]
     when that offset lands inside the window, else zero. The kernel is one
-    copy of the strided window view that convert_block adds into fc3. A conv
-    bias, constant over tile positions, is replicated part_h*part_w times.
+    copy of the strided window view that convert_block adds into fc3, read
+    from window planes of all output channels at once. A conv bias,
+    constant over tile positions, is replicated part_h*part_w times.
     """
     g = conv.groups
     o = conv.out_channels
@@ -128,7 +152,10 @@ def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> Fc
         raise ShapeError("conv_to_fc requires resolution-preserving padding K // 2 and stride 1")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("conv_to_fc requires odd kernel sizes")
-    grid = np.ascontiguousarray(_window_view(conv.kernel, part_h, part_w))
+    rows, band = _plane_band(conv.kernel, part_h, part_w)
+    planes = np.zeros((o, in_channels // g, part_w, 2 * part_h - 1, part_w), conv.kernel.dtype)
+    planes[:, :, :, rows] = band
+    grid = np.ascontiguousarray(_window_view(planes, part_h))
     kernel = grid.reshape(o * part_h * part_w, in_channels // g * part_h * part_w)
     bias = None if conv.bias is None else np.repeat(conv.bias, part_h * part_w)
     return FcSpec(kernel=kernel, bias=bias, groups=g)
@@ -141,18 +168,40 @@ def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeight
     then the branches in their checked ascending kernel order. Each fused
     branch's window view (see _window_view) is added in place into the
     fused fc3 arrays, which the BN fold has just made, so no input array is
-    written or shared and no per-branch grid is built. An fc3 entry outside
-    a branch's window gets that branch's +0.0, as a full grid would give it.
+    written or shared and no per-branch grid is built.
+
+    The window planes live in one buffer of at most SLAB_BYTES (at least
+    one output channel), so the fold runs over slabs of output channels.
+    A slab's buffer is zeroed, then each branch writes the plane rows it
+    covers (see _plane_band) and its view is added into that slab of fc3.
+    A larger kernel covers every row a smaller one does, so in ascending
+    order each branch overwrites all that the one before it wrote, and
+    every other plane entry stays +0.0. An fc3 entry thus sees the BN scale,
+    then each branch's tap, or +0.0 outside its window, in ascending kernel
+    order, as a full per-branch grid would give it: the slabs only split
+    the output channels and change no entry's operations or their order.
     """
     check_train_weights(cfg, w)
     fc3 = fuse_bn_into_conv(w.fc3, w.fc3_bn)
     h, wd = cfg.part_h, cfg.part_w
-    grid = fc3.kernel.reshape(cfg.out_channels, h, wd, cfg.in_channels // cfg.groups, h, wd)
+    o, cg = cfg.out_channels, cfg.in_channels // cfg.groups
+    grid = fc3.kernel.reshape(o, h, wd, cg, h, wd)
     bias = fc3.bias
+    bands = []
     for conv, bn in w.branches:
         branch = fuse_bn_into_conv(conv, bn)
-        grid += _window_view(branch.kernel, h, wd)
+        bands.append(_plane_band(branch.kernel, h, wd))
         bias += np.repeat(branch.bias, h * wd)
+    if bands:
+        slab = max(1, tensor.SLAB_BYTES // (cg * wd * (2 * h - 1) * wd * grid.itemsize))
+        buf = np.empty((min(o, slab), cg, wd, 2 * h - 1, wd), grid.dtype)
+        for o0 in range(0, o, slab):
+            planes = buf[:min(slab, o - o0)]
+            planes.fill(0.0)
+            view = _window_view(planes, h)
+            for rows, band in bands:
+                planes[:, :, :, rows] = band[o0:o0 + slab]
+                grid[o0:o0 + slab] += view
     fc1 = fc2 = None
     if cfg.has_global_path:
         fc1 = absorb_bn_into_fc1(w.gp_bn, w.fc1)

@@ -325,33 +325,82 @@ def sequential_grid_sum(cfg, w):
     return kernel, bias
 
 
+# fc3 and branch kernels with planted +0.0 and -0.0 entries: one tile and
+# several, kernels smaller and larger than the tile, with and without a 1x1
+SIGNED_ZERO_CONFIGS = (
+    RepMLPConfig(2, 2, 6, 4, 3, 2, branch_kernels=(1,)),
+    RepMLPConfig(4, 4, 12, 10, 6, 5, groups=2, branch_kernels=(3, 5)),
+    RepMLPConfig(3, 6, 7, 5, 7, 5, groups=3, branch_kernels=(1, 3, 5)),
+    RepMLPConfig(6, 3, 8, 14, 4, 7, groups=3, branch_kernels=(1, 3)),
+    RepMLPConfig(2, 4, 5, 9, 5, 9, groups=1, branch_kernels=(3, 5)),
+    RepMLPConfig(4, 2, 8, 8, 8, 8, groups=2, branch_kernels=(1, 3, 5, 7)),
+)
+
+
+def signed_zero_weights(cfg, rng, dtype):
+    w = random_train_weights(cfg, rng, dtype)
+    for kernel in [w.fc3.kernel] + [conv.kernel for conv, _ in w.branches]:
+        flat = kernel.reshape(-1)
+        flat[rng.random(flat.size) < 0.3] = 0.0
+        flat[rng.random(flat.size) < 0.3] = -0.0
+    return w
+
+
 def test_convert_block_bytes_equal_sequential_grid_sum():
     # convert_block adds each branch's window view into fc3 in place; the
     # bytes must be those of adding full zero-filled grids one after another,
     # signed zeros included: an fc3 -0.0 outside a branch's window takes that
     # branch's +0.0 and comes out +0.0
     rng = np.random.default_rng(41)
-    configs = [
-        RepMLPConfig(2, 2, 6, 4, 3, 2, branch_kernels=(1,)),
-        RepMLPConfig(4, 4, 12, 10, 6, 5, groups=2, branch_kernels=(3, 5)),
-        RepMLPConfig(3, 6, 7, 5, 7, 5, groups=3, branch_kernels=(1, 3, 5)),
-        RepMLPConfig(6, 3, 8, 14, 4, 7, groups=3, branch_kernels=(1, 3)),
-        RepMLPConfig(2, 4, 5, 9, 5, 9, groups=1, branch_kernels=(3, 5)),
-        RepMLPConfig(4, 2, 8, 8, 8, 8, groups=2, branch_kernels=(1, 3, 5, 7)),
-    ]
     for dtype in (np.float32, np.float64):
-        for cfg in configs:
-            w = random_train_weights(cfg, rng, dtype)
-            for kernel in [w.fc3.kernel] + [conv.kernel for conv, _ in w.branches]:
-                flat = kernel.reshape(-1)
-                flat[rng.random(flat.size) < 0.3] = 0.0
-                flat[rng.random(flat.size) < 0.3] = -0.0
+        for cfg in SIGNED_ZERO_CONFIGS:
+            w = signed_zero_weights(cfg, rng, dtype)
             want_kernel, want_bias = sequential_grid_sum(cfg, w)
             fc3 = convert_block(cfg, w).fc3
             assert fc3.kernel.dtype == want_kernel.dtype
             assert fc3.kernel.shape == want_kernel.shape
             assert fc3.kernel.tobytes() == want_kernel.tobytes(), (dtype, cfg)
             assert fc3.bias.tobytes() == want_bias.tobytes(), (dtype, cfg)
+
+
+def test_fold_slabs_give_the_bytes_of_one_slab(monkeypatch):
+    # the fold adds the branches into fc3 one slab of output channels at a
+    # time, through one plane buffer of at most SLAB_BYTES that each slab
+    # zeroes and each branch overwrites; one channel per slab and a ragged
+    # split must give the bytes of the default slabs and of the sequential
+    # grid sum. The last config spans several slabs, the last one ragged, at
+    # the default SLAB_BYTES. The channels of each slab's window view are
+    # counted, so a split that did not happen cannot pass
+    from repmlp import reparam, tensor
+    channels = []
+    window_view = reparam._window_view
+
+    def counted_view(planes, part_h):
+        channels.append(planes.shape[0])
+        return window_view(planes, part_h)
+
+    monkeypatch.setattr(reparam, "_window_view", counted_view)
+    configs = SIGNED_ZERO_CONFIGS + (RepMLPConfig(16, 20, 8, 8, 8, 8, branch_kernels=(1, 3, 5, 7)),)
+    default_bytes = tensor.SLAB_BYTES
+    rng = np.random.default_rng(43)
+    for dtype in (np.float32, np.float64):
+        for cfg in configs:
+            w = signed_zero_weights(cfg, rng, dtype)
+            want_kernel, want_bias = sequential_grid_sum(cfg, w)
+            o = cfg.out_channels
+            per_channel = (cfg.in_channels // cfg.groups * cfg.part_w * (2 * cfg.part_h - 1)
+                           * cfg.part_w * np.dtype(dtype).itemsize)
+            default = max(1, default_bytes // per_channel)
+            if cfg is configs[-1]:
+                assert default < o and o % default, (dtype, default)
+            for slab_bytes, slab in ((default_bytes, default), (per_channel - 1, 1), (per_channel, 1),
+                                     ((o // 2 + 1) * per_channel + per_channel // 2, o // 2 + 1)):
+                monkeypatch.setattr(tensor, "SLAB_BYTES", slab_bytes)
+                channels.clear()
+                fc3 = convert_block(cfg, w).fc3
+                assert channels == [min(slab, o - o0) for o0 in range(0, o, slab)]
+                assert fc3.kernel.tobytes() == want_kernel.tobytes(), (dtype, cfg, slab)
+                assert fc3.bias.tobytes() == want_bias.tobytes(), (dtype, cfg, slab)
 
 
 def test_convert_block_signed_zero_diagonal_hand_case():

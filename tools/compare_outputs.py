@@ -26,7 +26,11 @@ child process per tree). Compared artefacts, all from fixed seeds:
   and from a block with kernels 1-3-5 and positive BN gammas whose fc3
   diagonal (output pixel = input pixel) and branch centre taps are all
   -0.0, so the diagonal stays -0.0 while every other planted -0.0 meets the
-  1x1 branch's +0.0.
+  1x1 branch's +0.0;
+* the f32 fc3 kernel and bias bytes that `convert_block` makes from
+  seeded weights of the real pure-mlp-cifar block and of the light-c4
+  block (REAL_BLOCKS). Their window planes span several output-channel
+  slabs at the default SLAB_BYTES, the last one ragged on light-c4.
 
 Prints one line per artefact with both trees' sha256; a differing .npy
 array also gets its max relative difference, and a differing text report
@@ -45,6 +49,8 @@ import tempfile
 CONFIGS = ("C=8,O=8,H=14,W=14,h=7,w=7,g=2,ks=1-3-5",
            "C=4,O=8,H=16,W=16,h=8,w=8,g=4,ks=1-3-7,gp=3,nl=identity",
            "C=4,O=4,H=8,W=8,h=8,w=8,g=2,ks=1-3-5-7")
+REAL_BLOCKS = (("cifar", "C=64,O=64,H=8,W=8,h=8,w=8,g=2,ks=1-3-5-7,gp=832"),
+               ("light_c4", "C=128,O=128,H=14,W=14,h=7,w=7,g=8,ks=1-3-5,gp=2048"))
 
 
 def write_artefacts(out: str) -> None:
@@ -54,7 +60,7 @@ def write_artefacts(out: str) -> None:
 
     import numpy as np
 
-    from repmlp import block, cli, models, reparam
+    from repmlp import block, cli, models, reparam, verify
 
     with contextlib.redirect_stdout(io.StringIO()):
         for prec in ("f32", "f64"):
@@ -106,6 +112,12 @@ def write_artefacts(out: str) -> None:
             with open(os.path.join(out, f"convert_signed_zero{tag}_{dtype.__name__}.bin"),
                       "wb") as fh:
                 fh.write(fc3.kernel.tobytes() + fc3.bias.tobytes())
+    for tag, text in REAL_BLOCKS:
+        cfg = verify.parse_config(text)
+        weights = block.random_train_weights(cfg, np.random.default_rng(7), np.float32)
+        fc3 = reparam.convert_block(cfg, weights).fc3
+        with open(os.path.join(out, f"convert_real_{tag}_float32.bin"), "wb") as fh:
+            fh.write(fc3.kernel.tobytes() + fc3.bias.tobytes())
 
 
 def write_tree(tree: str, out: str) -> None:
