@@ -268,25 +268,33 @@ def forward_train(x: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeights) -> np
     return inverse_partition(out, x.shape[0], cfg.height, cfg.width)
 
 
-# Doubles drawn per rng.uniform call; every draw fills its array in chunks. One
-# 8M-entry f32 draw took 64.5 ms in one call, 40.4 ms in chunks of 2^15 (and
-# within 1 ms of that at 2^14 and 2^16), 51.7 ms in chunks of 2^12.
+# Doubles drawn per rng.random call; every draw fills its array in chunks. One
+# 8M-entry f32 draw took 88.9 ms in one call, 61.1 ms in chunks of 2^15 (62.1
+# at 2^14, 59.2 at 2^16), 70.8 ms in chunks of 2^12, and 72.2 ms through
+# Generator.uniform in chunks of 2^15 (medians on a shared 2-vCPU Xeon).
 DRAW_CHUNK = 2 ** 15
 
 
 def _uniform(rng: np.random.Generator, shape, lo: float, hi: float, dtype) -> np.ndarray:
     """Uniform [lo, hi) draw of the given shape, rounded to dtype.
 
-    The one home of every seeded weight and input draw. Generator.uniform
-    takes one double per element in order, and assigning a double chunk into
-    the output rounds exactly as astype does. So a chunked fill equals one
-    whole-array draw byte for byte and leaves rng in the same state, but
-    never holds a full-size double array.
+    The one home of every seeded weight and input draw. Each value is
+    lo + (hi - lo) * U for the next double U of Generator.random, as two
+    separately rounded float64 operations and then rounded to dtype: the
+    same on every host, and equal to Generator.uniform where its C is not
+    FMA-contracted. Assigning a double chunk into the output rounds exactly
+    as astype does, so a chunked fill equals one whole-array draw byte for
+    byte and leaves rng in the same state, but never holds a full-size
+    double array.
     """
     out = np.empty(shape, dtype)
     flat = out.reshape(-1)
     for start in range(0, flat.size, DRAW_CHUNK):
-        flat[start:start + DRAW_CHUNK] = rng.uniform(lo, hi, min(DRAW_CHUNK, flat.size - start))
+        part = rng.random(min(DRAW_CHUNK, flat.size - start))
+        part *= hi - lo
+        part += lo
+        flat[start:start + DRAW_CHUNK] = part
+        del part  # so the next chunk is not drawn while this one is held
     return out
 
 

@@ -4,8 +4,9 @@ Subcommands: verify (equivalence grid), count (model tables), bench
 (train vs collapsed forward timings), convert (checkpoint folding),
 export-fc3 (kernel heat-map data), init (seeded random checkpoint).
 
-Exit codes: 0 pass, 1 property violation, 2 usage or IO error. Every
-command except bench prints byte-identical output for identical inputs.
+Exit codes: 0 pass, 1 property violation, 2 usage, IO or out-of-memory
+error. Every command except bench prints byte-identical output for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Locality-injected block-MLP toolkit: equivalence "
                     "verification, parameter/FLOP tables, benchmarks, and "
                     "checkpoint folding.",
-        epilog="exit codes: 0 pass, 1 property violation, 2 usage/IO error")
+        epilog="exit codes: 0 pass, 1 property violation, 2 usage/IO/out-of-memory error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, batch_default=2):
@@ -235,6 +236,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ShapeError, CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -292,6 +292,40 @@ def test_uniform_equals_one_whole_draw(shape, dtype, lo, hi):
     assert chunked.random() == whole.random()  # same stream position after the draw
 
 
+@pytest.mark.parametrize("shape", DRAW_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lo, hi", [(-0.1, 0.1), (0.5, 1.5)])
+def test_uniform_maps_generator_random(shape, dtype, lo, hi):
+    # each value is lo + (hi - lo) * U as two rounded float64 ufuncs, then cast,
+    # so it does not depend on how numpy's own uniform was compiled
+    drawn, ref = np.random.default_rng(12), np.random.default_rng(12)
+    got = _uniform(drawn, shape, lo, hi, dtype)
+    want = np.add(np.multiply(ref.random(size=shape), hi - lo), lo).astype(dtype)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+    assert drawn.random() == ref.random()
+
+
+def test_uniform_holds_one_chunk_of_doubles():
+    # the output plus one float64 chunk and a few array headers; holding the
+    # last chunk while drawing the next one peaked at a second chunk more
+    import tracemalloc
+
+    rng = np.random.default_rng(13)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = _uniform(rng, 3 * DRAW_CHUNK + 5, -0.5, 0.5, np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= out.nbytes + DRAW_CHUNK * 8 + 4096
+
+
+# every Generator draw method; only _uniform may call one
+DRAW_METHODS = {"uniform", "random", "normal", "standard_normal", "integers"}
+
+
 def test_uniform_is_the_only_rng_uniform_call():
     # every seeded draw goes through block._uniform, so the chunking has one home
     outside = []
@@ -301,7 +335,7 @@ def test_uniform_is_the_only_rng_uniform_call():
                 and isinstance(f, ast.FunctionDef) and f.name == "_uniform"]
         outside += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "uniform"
+                    and node.func.attr in DRAW_METHODS
                     and not any(a <= node.lineno <= b for a, b in home)]
     assert outside == []
 

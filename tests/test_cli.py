@@ -91,6 +91,21 @@ def test_verify_rejects_malformed_config(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
 
 
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 95.4 GiB for an array with shape "
+                "(100000000, 4, 8, 8) and data type float32"),
+    MemoryError(),
+])
+def test_out_of_memory_is_usage_error(monkeypatch, capsys, exc):
+    # a too-large --batch must not end as exit 1, the property-violation code
+    def run_equivalence(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(repmlp.cli, "run_equivalence", run_equivalence)
+    code, out, err = run_cli(capsys, "verify", "--config", CFG_TEXT, "--batch", "100000000")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: "), err
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert build_parser() is build_parser()
     code, out, _ = run_cli(capsys, "verify", "--config", CFG_TEXT, "--tolerance", "0")
