@@ -16,15 +16,16 @@ one image), and makes one _gemm call per slab and group into that slab's
 columns of the output, so the patch memory is bounded by the slab and not
 by the batch. An FC and a 1x1 conv need no patch matrix and make one call
 per group, through one loop, _grouped_gemm. The GEMM's
-summation order is fixed: the output positions are cut into tiles of TILE,
-the dot products into KC-long chunks, each chunk a BLAS dot product, and
-the chunk sums are added by a fixed pairwise tree (blocked summation;
-Blanchard, Higham and Mary, 2020). Each element errs by at most
-gamma_n |w|^T |x| with n = KC + ceil(log2(ceil(K / KC))), where a single
-BLAS chain would allow n = K. Every output position sees the same order
-wherever it falls in its tile, so results are bitwise identical under any
-split of the batch dimension, the conv's slabs included. BLAS picks its
-kernels by CPU, so the bytes are those of one host and BLAS build.
+summation order is fixed: the dot products are cut into KC-long chunks,
+each one BLAS call over all whole TILE-column groups (a ragged tail is
+zero-padded to TILE), and the chunk sums are added by a fixed pairwise
+tree (blocked summation; Blanchard, Higham and Mary, 2020). Each element
+errs by at most gamma_n |w|^T |x| with n = KC + ceil(log2(ceil(K / KC))),
+where a single BLAS chain would allow n = K. Results are bitwise identical
+under any split of the batch dimension, the conv's slabs included, if BLAS
+gives a column the same bytes at every call width that is a multiple of
+TILE (the tests check it on each host). BLAS picks its kernels by CPU, so
+the bytes are those of one host and BLAS build.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-# Output positions per GEMM tile, and the dot-product length of one BLAS
-# call (see _gemm). On a 2-vCPU AVX-512 Xeon, TILE 16, 32 and 64 ran the
-# bundled models within noise of each other and TILE 128 ran repmlp-res50
-# about 20% slower; KC 32 ran it about 10% slower, and KC 128 failed the
-# 1e-4 verify of the real c3 block at every seed from 1 to 10.
-TILE = 32
+# Columns per GEMM group, and the dot-product length of one BLAS call (see
+# _gemm). On a 2-vCPU AVX-512 Xeon with OpenBLAS 0.3.31, groups of 16 and 32
+# keep the bytes of one call per 32-column tile and 8 and 4 do not; 16 ran
+# repmlp-res50 at batch 1 about 7% faster than 32. KC 32 ran it about 10%
+# slower, and KC 128 failed the 1e-4 verify of the real c3 block at every
+# seed from 1 to 10.
+TILE = 16
 KC = 64
 # Patch-matrix bytes a conv builds and multiplies at a time (see conv2d).
 # On a 2-vCPU Xeon with 2 MiB of L2 per core and one BLAS thread, the
@@ -216,36 +218,32 @@ class BnParams:
 
 
 def _gemm(w: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
-    """Write w (P, K) @ cols (K, M) into out (P, M), in tiles of TILE columns.
+    """Write w (P, K) @ cols (K, M) into out (P, M); M grows with the batch.
 
-    M is the axis that grows with the batch. K is cut into KC chunks; each
-    chunk is one np.matmul over every tile, w's chunk on the left, and the
-    chunk products are added by a fixed pairwise tree, streamed in
-    binary-counter order so that at most ceil(log2(K / KC)) + 1 partials
-    are alive. A column's result depends on that column alone, not on
-    where its tile starts or what fills the rest of it. Both operands are
-    made C-contiguous first (a no-op for the callers' conv operands),
-    because BLAS rounds differently per operand layout. Only the last,
-    partial tile is zero-padded, in its own (K, TILE) buffer.
+    All whole TILE-column groups go to _tile_products as one operand; only
+    the ragged tail is zero-padded to TILE, in its own buffer. Both
+    operands are made C-contiguous first (a no-op for the callers' conv
+    operands), because BLAS rounds differently per operand layout.
     """
     w, cols = np.ascontiguousarray(w), np.ascontiguousarray(cols)
     k, m = cols.shape
     full = m - m % TILE
     if full:
-        tiles = cols[:, :full].reshape(k, full // TILE, TILE).transpose(1, 0, 2)
-        np.copyto(out[:, :full].reshape(-1, full // TILE, TILE),
-                  _tile_products(w, tiles).transpose(1, 0, 2))
+        out[:, :full] = _tile_products(w, cols[:, :full])
     if full < m:
-        last = np.zeros((1, k, TILE), dtype=cols.dtype)
-        last[0, :, :m - full] = cols[:, full:]
-        out[:, full:] = _tile_products(w, last)[0, :, :m - full]
+        tail = np.zeros((k, TILE), dtype=cols.dtype)
+        tail[:, :m - full] = cols[:, full:]
+        out[:, full:] = _tile_products(w, tail)[:, :m - full]
 
 
-def _tile_products(w: np.ndarray, tiles: np.ndarray) -> np.ndarray:
-    """w (P, K) @ tiles (T, K, TILE), the KC-chunk products added pairwise."""
+def _tile_products(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """w (P, K) @ cols (K, M): one np.matmul over all M columns per KC
+    chunk, the chunk products added by a fixed pairwise tree, streamed in
+    binary-counter order so that at most ceil(log2(K / KC)) + 1 partials
+    are alive."""
     pending: list[tuple[int, np.ndarray]] = []
     for k0 in range(0, w.shape[1], KC):
-        part = np.matmul(w[:, k0:k0 + KC], tiles[:, k0:k0 + KC])
+        part = np.matmul(w[:, k0:k0 + KC], cols[k0:k0 + KC])
         level = 0
         while pending and pending[-1][0] == level:
             part = np.add(pending.pop()[1], part, out=part)
@@ -315,7 +313,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     else:
         per_image = k * ho * wo
         per_shifted = cg * kw * hp * wo
-        nb = min(n, max(1, SLAB_BYTES // (per_image * x.itemsize)))
+        nb = max(1, min(n, SLAB_BYTES // (per_image * x.itemsize)))
         buf = np.empty(nb * per_image, dtype=x.dtype)
         shift_buf = np.empty(nb * per_shifted, dtype=x.dtype)
         for n0 in range(0, n, nb):

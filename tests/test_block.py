@@ -189,6 +189,15 @@ def test_forward_output_channels_can_differ():
     assert forward_train(x, cfg, w).shape == (2, 2, 6, 6)
 
 
+def test_block_forms_on_empty_batch():
+    cfg = RepMLPConfig(4, 6, 8, 8, 4, 4, groups=2, branch_kernels=(1, 3),
+                       gp_internal_dim=3)
+    w = random_train_weights(cfg, np.random.default_rng(9), np.float32)
+    x = np.zeros((0, 4, 8, 8), dtype=np.float32)
+    for y in (forward_train(x, cfg, w), forward_infer(x, cfg, convert_block(cfg, w))):
+        assert y.shape == (0, 6, 8, 8) and y.dtype == np.float32
+
+
 def test_check_train_weights_rejections():
     cfg = RepMLPConfig(2, 2, 4, 4, 2, 2, branch_kernels=(1,), gp_internal_dim=2)
     rng = np.random.default_rng(7)

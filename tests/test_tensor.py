@@ -152,24 +152,30 @@ def test_conv_bytes_equal_gemm_on_patch_matrix():
 
 
 def test_gemm_sums_kc_chunks_by_fixed_pairwise_tree():
-    # the helper's order written out for one tile: KC-long BLAS products,
-    # then a pairwise tree over them (7 chunks: ((0+1)+(2+3)) + ((4+5)+6));
-    # columns past the last tile's end are zeros and do not touch the rest
+    # the helper's order written out tile by tile: KC-long BLAS products,
+    # then a pairwise tree over them (7 chunks: ((0+1)+(2+3)) + ((4+5)+6)).
+    # The helper multiplies all whole tiles in one call per chunk, and the
+    # reference one separate TILE-wide call per tile, so a column's bytes
+    # must not depend on the call's width; columns past the ragged tail's
+    # end are zeros and do not touch the rest
     rng = np.random.default_rng(104)
     for dtype in (np.float32, np.float64):
         for k, tree in ((KC, lambda p: p[0]),
                         (2 * KC + 5, lambda p: (p[0] + p[1]) + p[2]),
                         (7 * KC - 3, lambda p: ((p[0] + p[1]) + (p[2] + p[3]))
                          + ((p[4] + p[5]) + p[6]))):
-            w = rng.normal(size=(5, k)).astype(dtype)
-            cols = rng.normal(size=(k, TILE + 7)).astype(dtype)
-            got = gemm(w, cols)
-            for start, width in ((0, TILE), (TILE, 7)):
-                tile = np.zeros((k, TILE), dtype=dtype)
-                tile[:, :width] = cols[:, start:start + width]
-                parts = [w[:, k0:k0 + KC] @ tile[k0:k0 + KC] for k0 in range(0, k, KC)]
-                want = tree(parts)[:, :width]
-                assert got[:, start:start + width].tobytes() == want.tobytes(), (dtype, k)
+            for tiles in (1, 3):
+                w = rng.normal(size=(5, k)).astype(dtype)
+                cols = rng.normal(size=(k, tiles * TILE + 7)).astype(dtype)
+                got = gemm(w, cols)
+                for start in range(0, cols.shape[1], TILE):
+                    width = min(TILE, cols.shape[1] - start)
+                    tile = np.zeros((k, TILE), dtype=dtype)
+                    tile[:, :width] = cols[:, start:start + width]
+                    parts = [w[:, k0:k0 + KC] @ tile[k0:k0 + KC] for k0 in range(0, k, KC)]
+                    want = tree(parts)[:, :width]
+                    assert got[:, start:start + width].tobytes() == want.tobytes(), \
+                        (dtype, k, tiles, start)
 
 
 @pytest.mark.parametrize("op, k", [("fc", 392), ("conv", 2048), ("fc", 16384)],
@@ -276,8 +282,8 @@ def test_grouped_fc_dense_matches_matmul():
 
 
 def test_grouped_fc_equals_grouped_one_by_one_conv():
-    # both run one group loop over _gemm; N = 33 is a full 32-column tile
-    # plus a ragged one, and every P / g (320, 160, 80) spans KC chunks
+    # both run one group loop over _gemm; N = 33 is two whole TILE-column
+    # groups plus a ragged tail, and every P / g (320, 160, 80) spans KC chunks
     rng = np.random.default_rng(8)
     p, q = 320, 12
     for dtype in (np.float32, np.float64):
@@ -394,8 +400,9 @@ def test_partition_rejects_non_divisible():
 def test_kernels_bitwise_under_batch_split():
     # a batch split by hand and concatenated must equal the whole batch bit
     # for bit, for the conv and the grouped FC kernel alike: every GEMM runs
-    # in fixed tiles of TILE output positions, so a split only moves where a
-    # position sits in its tile. The strided and the one-pixel-output convs
+    # its whole TILE-column groups in one BLAS call per chunk and pads only
+    # its tail to TILE, so a split only changes the call's width (a
+    # multiple of TILE) and where a position sits in it. The strided and the one-pixel-output convs
     # split down to a single output pixel; the FC with K over KC and a
     # ragged last tile splits around one tile
     rng = np.random.default_rng(11)
@@ -417,7 +424,12 @@ def test_kernels_bitwise_under_batch_split():
     v70 = rng.normal(size=(70, 784)).astype(np.float32)
     fc392 = FcSpec(rng.normal(size=(16, 392)).astype(np.float32),
                    rng.normal(size=16).astype(np.float32), 2)
-    assert 392 % KC and 70 % TILE and 7 * 5 * 5 % TILE
+    # 40 whole tiles and a ragged tail: each split changes how many columns
+    # the one wide call per chunk covers
+    v645 = rng.normal(size=(40 * TILE + 5, 600)).astype(np.float32)
+    fc600 = FcSpec(rng.normal(size=(12, 200)).astype(np.float32),
+                   rng.normal(size=12).astype(np.float32), 3)
+    assert 392 % KC and 200 % KC and 70 % TILE and 7 * 5 * 5 % TILE
     small = (1, 3, 4, 10, 16)
     for op, inp, chunks in ((lambda b: conv2d(b, conv), x, small),
                             (lambda b: conv2d(b, strided), x, small),
@@ -425,11 +437,25 @@ def test_kernels_bitwise_under_batch_split():
                             (lambda b: conv2d(b, crossing), x7, (1, 2, 3, 7)),
                             (lambda b: grouped_fc(b, fc), v, small),
                             (lambda b: grouped_fc(b, fc392), v70,
-                             (1, TILE - 1, TILE, TILE + 1, 70))):
+                             (1, TILE - 1, TILE, TILE + 1, 70)),
+                            (lambda b: grouped_fc(b, fc600), v645,
+                             (1, TILE - 1, TILE, TILE + 1, 100))):
         whole = op(inp)
         for chunk in chunks:
             parts = [op(inp[i:i + chunk]) for i in range(0, len(inp), chunk)]
             assert np.array_equal(np.concatenate(parts), whole), chunk
+    # narrow FCs as the bundled ResNets run them: r rows per sample (1 for
+    # the head FC, parts for fc3 and the global path), so at batch N a call
+    # has N * r columns, below, at and above TILE. A batch of N samples must
+    # give the bytes of each sample alone
+    narrow = FcSpec(rng.normal(size=(24, 392)).astype(np.float32),
+                    rng.normal(size=24).astype(np.float32), 2)
+    for r in (1, 4, 16):
+        rows = rng.normal(size=(8 * r, 784)).astype(np.float32)
+        alone = [grouped_fc(rows[i * r:(i + 1) * r], narrow) for i in range(8)]
+        for n in (1, 2, 3, 8):
+            got = grouped_fc(rows[:n * r], narrow)
+            assert np.array_equal(got, np.concatenate(alone[:n])), (r, n)
 
 
 def test_conv_slabs_give_the_bytes_of_one_slab(monkeypatch):
@@ -465,6 +491,16 @@ def test_conv_slabs_give_the_bytes_of_one_slab(monkeypatch):
             got = conv2d(x, spec)
             assert widths == [b * positions for b in images for _ in range(g)]
             assert got.tobytes() == whole.tobytes(), slab_bytes
+
+
+def test_conv_on_empty_batch():
+    # a batch of no images gives no images at the output's channels and
+    # size, on the patch-matrix path (plain and strided) and the 1x1 path
+    x = np.zeros((0, 4, 6, 6), dtype=np.float32)
+    for k, pad, stride, size in ((3, (1, 1), 1, 6), (3, (1, 1), 2, 3), (1, (0, 0), 2, 3)):
+        spec = ConvSpec(np.ones((6, 2, k, k), dtype=np.float32), None, pad, 2, stride)
+        got = conv2d(x, spec)
+        assert got.shape == (0, 6, size, size) and got.dtype == np.float32, (k, stride)
 
 
 def test_cifar_train_forward_patch_memory_bounded():
