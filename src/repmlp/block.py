@@ -27,6 +27,7 @@ from .tensor import (
     FcSpec,
     ShapeError,
     _is_int,
+    _require_ints,
     avg_pool_global,
     batchnorm_inference,
     check_feature_map,
@@ -35,9 +36,6 @@ from .tensor import (
     inverse_partition,
     partition,
 )
-
-GP_NONLINEARITIES = ("relu", "identity")
-
 
 @dataclass(frozen=True)
 class RepMLPConfig:
@@ -60,15 +58,13 @@ class RepMLPConfig:
     groups: int = 1
     branch_kernels: tuple[int, ...] = ()
     gp_internal_dim: int | None = None
-    gp_nonlinearity: str = "relu"
 
     def __post_init__(self) -> None:
-        for name in ("in_channels", "out_channels", "height", "width", "part_h", "part_w", "groups"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ShapeError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ShapeError(f"{name} must be >= 1")
+        _require_ints("config", 1, in_channels=self.in_channels, out_channels=self.out_channels,
+                      height=self.height, width=self.width, part_h=self.part_h,
+                      part_w=self.part_w, groups=self.groups)
+        if self.gp_internal_dim is not None:
+            _require_ints("config", 1, gp_internal_dim=self.gp_internal_dim)
         for k in self.branch_kernels:
             if not _is_int(k):
                 raise ShapeError(f"branch kernels must be ints, got {self.branch_kernels!r}")
@@ -89,13 +85,6 @@ class RepMLPConfig:
                                  f"({self.part_h}, {self.part_w})")
         if len(set(self.branch_kernels)) != len(self.branch_kernels):
             raise ShapeError("duplicate branch kernel sizes")
-        if self.gp_internal_dim is not None:
-            if not _is_int(self.gp_internal_dim):
-                raise ShapeError(f"gp_internal_dim must be an int, got {self.gp_internal_dim!r}")
-            if self.gp_internal_dim < 1:
-                raise ShapeError("gp_internal_dim must be >= 1")
-        if self.gp_nonlinearity not in GP_NONLINEARITIES:
-            raise ShapeError(f"gp_nonlinearity must be one of {GP_NONLINEARITIES}")
 
     @property
     def parts_h(self) -> int:
@@ -215,7 +204,7 @@ def global_perceptron(x: np.ndarray, cfg: RepMLPConfig, fc1: FcSpec | None,
     """Partition the input and add the pooled-MLP correction to every tile.
 
     Both weight forms run through here: pool each tile, BN (bn=None is the
-    converted form, whose FC1 has absorbed it), FC1, nonlinearity, FC2,
+    converted form, whose FC1 has absorbed it), FC1, ReLU, FC2,
     broadcast-add onto the tile map. When the tile covers the whole image
     the path is skipped and the output is just the partition of x; the
     weights are never touched then. The weights are not validated here;
@@ -230,8 +219,7 @@ def global_perceptron(x: np.ndarray, cfg: RepMLPConfig, fc1: FcSpec | None,
         pooled = batchnorm_inference(pooled, bn)
     v = pooled.reshape(pooled.shape[0], cfg.in_channels)
     v = grouped_fc(v, fc1)
-    if cfg.gp_nonlinearity == "relu":
-        v = np.maximum(v, v.dtype.type(0))
+    v = np.maximum(v, v.dtype.type(0))
     v = grouped_fc(v, fc2)
     return pmap + v.reshape(-1, cfg.in_channels, 1, 1)
 
@@ -249,14 +237,16 @@ def local_perceptron(pmap: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeights)
     return out
 
 
-def partition_perceptron(pmap: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeights) -> np.ndarray:
-    """Grouped FC over flattened tiles followed by 1-D BN over all
-    out_channels * part_h * part_w output features."""
+def partition_perceptron(pmap: np.ndarray, cfg: RepMLPConfig, fc3: FcSpec,
+                         bn: BnParams | None) -> np.ndarray:
+    """Grouped FC over flattened tiles, then a 1-D BN over all
+    out_channels * part_h * part_w output features. Both weight forms run
+    through here; bn=None is the converted form, whose fc3 has absorbed it."""
     check_feature_map(pmap)
     b = pmap.shape[0]
-    flat = pmap.reshape(b, cfg.fc_in_dim)
-    y = grouped_fc(flat, w.fc3)
-    y = batchnorm_inference(y.reshape(b, cfg.fc_out_dim, 1, 1), w.fc3_bn)
+    y = grouped_fc(pmap.reshape(b, cfg.fc_in_dim), fc3)
+    if bn is not None:
+        y = batchnorm_inference(y.reshape(b, cfg.fc_out_dim, 1, 1), bn)
     return y.reshape(b, cfg.out_channels, cfg.part_h, cfg.part_w)
 
 
@@ -264,7 +254,7 @@ def forward_train(x: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeights) -> np
     """Training-form block forward: (N, C, H, W) -> (N, O, H, W)."""
     check_train_weights(cfg, w)
     pmap = global_perceptron(x, cfg, w.fc1, w.fc2, w.gp_bn)
-    out = local_perceptron(pmap, cfg, w) + partition_perceptron(pmap, cfg, w)
+    out = local_perceptron(pmap, cfg, w) + partition_perceptron(pmap, cfg, w.fc3, w.fc3_bn)
     return inverse_partition(out, x.shape[0], cfg.height, cfg.width)
 
 

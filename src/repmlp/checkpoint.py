@@ -14,11 +14,12 @@ Tensor names are unique. Payloads are written with '<f4' byte order
 explicitly, so a save/load/save cycle is bit-exact on any host.
 
 The JSON record holds every RepMLPConfig field under its own name, plus
-"record", "form" ("train" or "infer") and "bn_eps", the one eps that all
-BNs of a train block share. Each array of a weight dataclass is named
-<field>.<array field> (fc3.kernel, fc3_bn.mean, ...) in declaration order,
-None skipped; branch k's conv and BN go under branch<k> and branch<k>.bn.
-So renaming a field changes the format.
+"record", "form" ("train" or "infer"), "bn_eps", the one eps that all
+BNs of a train block share, and "gp_nonlinearity", always "relu". Each
+array of a weight dataclass is named <field>.<array field> (fc3.kernel,
+fc3_bn.mean, ...) in declaration order, None skipped; branch k's conv and
+BN go under branch<k> and branch<k>.bn. So renaming a field changes the
+format.
 """
 
 from __future__ import annotations
@@ -51,22 +52,24 @@ class CheckpointError(ValueError):
 def config_record(cfg: RepMLPConfig, form: str, bn_eps: float = 1e-5) -> dict:
     if form not in (FORM_TRAIN, FORM_INFER):
         raise CheckpointError(f"unknown weight form {form!r}")
-    return {"record": "repmlp-block", "form": form, **dataclasses.asdict(cfg), "bn_eps": bn_eps}
+    return {"record": "repmlp-block", "form": form, **dataclasses.asdict(cfg), "bn_eps": bn_eps,
+            "gp_nonlinearity": "relu"}
 
 
 def config_from_record(rec: dict) -> RepMLPConfig:
     """Block config of a record; raises CheckpointError on a bad schema.
 
     Field values are checked by RepMLPConfig itself (a ShapeError), except
-    the two it cannot see: branch_kernels must be a JSON list, since a
-    string would split into characters, and bn_eps a finite number.
+    the three it cannot see: branch_kernels must be a JSON list, since a
+    string would split into characters, bn_eps a finite number, and
+    gp_nonlinearity "relu", the one global-path nonlinearity.
     """
     if not isinstance(rec, dict):
         raise CheckpointError(f"config record must be a JSON object, got {type(rec).__name__}")
     if rec.get("record") != "repmlp-block":
         raise CheckpointError(f"not a block checkpoint: record={rec.get('record')!r}")
     fields = [f.name for f in dataclasses.fields(RepMLPConfig)]
-    missing = [k for k in ("form", *fields, "bn_eps") if k not in rec]
+    missing = [k for k in ("form", *fields, "bn_eps", "gp_nonlinearity") if k not in rec]
     if missing:
         raise CheckpointError(f"config record missing keys: {', '.join(missing)}")
     eps = rec["bn_eps"]
@@ -77,6 +80,9 @@ def config_from_record(rec: dict) -> RepMLPConfig:
         wrong.append("bn_eps")
     if wrong:
         raise CheckpointError(f"config record fields of the wrong type: {', '.join(wrong)}")
+    if rec["gp_nonlinearity"] != "relu":
+        raise CheckpointError(f"config record gp_nonlinearity must be 'relu', "
+                              f"got {rec['gp_nonlinearity']!r}")
     return RepMLPConfig(**{k: rec[k] for k in fields})
 
 

@@ -36,6 +36,7 @@ from .tensor import (
     FcSpec,
     ShapeError,
     _is_int,
+    _require_ints,
     avg_pool_global,
     batchnorm_inference,
     conv2d,
@@ -73,24 +74,15 @@ def _layer(kind: str, children: tuple = (), **attrs) -> LayerSpec:
     return LayerSpec(kind=kind, attrs=tuple(attrs.items()), children=children)
 
 
-def _require_ints(layer: str, minimum: int, **values) -> None:
-    for name, value in values.items():
-        if not (_is_int(value) and value >= minimum):
-            raise ShapeError(f"{layer} {name} must be an int >= {minimum}, got {value!r}")
-
-
-def conv_layer(in_ch: int, out_ch: int, k: int, stride: int = 1, pad: int = 0,
-               groups: int = 1) -> LayerSpec:
-    """A train-form conv: a bias-free conv followed by its BN (bn=True in
-    the record; convert_graph makes the bn=False deploy record, a conv with
-    a bias). in_ch, out_ch, k, stride and groups are ints >= 1, pad an int
-    >= 0, and groups divides both channel counts."""
-    _require_ints("conv", 1, in_ch=in_ch, out_ch=out_ch, k=k, stride=stride, groups=groups)
+def conv_layer(in_ch: int, out_ch: int, k: int, stride: int = 1, pad: int = 0) -> LayerSpec:
+    """A train-form dense conv: a bias-free conv followed by its BN (bn=True
+    in the record; convert_graph makes the bn=False deploy record, a conv
+    with a bias). in_ch, out_ch, k and stride are ints >= 1, pad an int
+    >= 0. The record keeps groups=1, the kernel's group count."""
+    _require_ints("conv", 1, in_ch=in_ch, out_ch=out_ch, k=k, stride=stride)
     _require_ints("conv", 0, pad=pad)
-    if in_ch % groups or out_ch % groups:
-        raise ShapeError(f"conv groups {groups} must divide in_ch {in_ch} and out_ch {out_ch}")
     return _layer("conv", in_ch=in_ch, out_ch=out_ch, k=k, stride=stride,
-                  pad=pad, groups=groups, bn=True)
+                  pad=pad, groups=1, bn=True)
 
 
 def fc_layer(in_dim: int, out_dim: int) -> LayerSpec:
@@ -355,7 +347,8 @@ def _run_layers(layers, weights, x):
         elif kind == "relu":
             x = np.maximum(x, x.dtype.type(0))
         elif kind == "flatten":
-            x = x.reshape(x.shape[0], -1)
+            # -1 cannot be resolved for an empty batch
+            x = x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
         elif kind == "repmlp_train":
             x = forward_train(x, layer.attr("cfg"), w)
         elif kind == "repmlp_infer":

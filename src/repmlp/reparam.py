@@ -32,8 +32,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import tensor
 from .block import (RepMLPConfig, RepMLPTrainWeights, check_global_mlp, check_train_weights,
-                    global_perceptron)
-from .tensor import BnParams, ConvSpec, FcSpec, ShapeError, grouped_fc, inverse_partition
+                    global_perceptron, partition_perceptron)
+from .tensor import BnParams, ConvSpec, FcSpec, ShapeError, inverse_partition
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,6 @@ def forward_infer(x: np.ndarray, cfg: RepMLPConfig, w: RepMLPInferWeights) -> np
     """Converted block forward: global-path MLP (BN-free) plus one grouped FC."""
     check_infer_weights(cfg, w)
     pmap = global_perceptron(x, cfg, w.fc1, w.fc2, None)
-    b = pmap.shape[0]
-    y = grouped_fc(pmap.reshape(b, cfg.fc_in_dim), w.fc3)
-    y = y.reshape(b, cfg.out_channels, cfg.part_h, cfg.part_w)
+    y = partition_perceptron(pmap, cfg, w.fc3, None)
     return inverse_partition(y, x.shape[0], cfg.height, cfg.width)
 

@@ -44,8 +44,6 @@ def format_config(cfg: RepMLPConfig) -> str:
             f"g={cfg.groups},ks={ks}")
     if cfg.gp_internal_dim is not None:
         text += f",gp={cfg.gp_internal_dim}"
-    if cfg.gp_nonlinearity != "relu":
-        text += f",nl={cfg.gp_nonlinearity}"
     return text
 
 
@@ -63,7 +61,7 @@ def parse_config(text: str) -> RepMLPConfig:
     missing = [k for k in required if k not in fields]
     if missing:
         raise ShapeError(f"config string missing keys: {', '.join(missing)}")
-    known = set(required) | {"ks", "gp", "nl"}
+    known = set(required) | {"ks", "gp"}
     unknown = set(fields) - known
     if unknown:
         raise ShapeError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -84,8 +82,7 @@ def parse_config(text: str) -> RepMLPConfig:
     return RepMLPConfig(
         in_channels=nums["C"], out_channels=nums["O"],
         height=nums["H"], width=nums["W"], part_h=nums["h"], part_w=nums["w"],
-        groups=nums["g"], branch_kernels=kernels, gp_internal_dim=gp,
-        gp_nonlinearity=fields.get("nl", "relu"))
+        groups=nums["g"], branch_kernels=kernels, gp_internal_dim=gp)
 
 
 def full_grid() -> tuple[RepMLPConfig, ...]:

@@ -10,6 +10,7 @@ import os
 import re
 
 import numpy as np
+from conftest import walk_layers
 
 from repmlp.block import (
     RepMLPConfig,
@@ -246,16 +247,6 @@ def test_reference_model_totals():
             f"{'; '.join(broken) if broken else 'none'}")
 
 
-def _block_configs(layers):
-    found = []
-    for layer in layers:
-        if layer.kind == "repmlp_train":
-            found.append(layer.attr("cfg"))
-        for branch in layer.children:
-            found.extend(_block_configs(branch))
-    return found
-
-
 def test_conversion_reduces_flops():
     checked = 0
     regressions = 0
@@ -263,7 +254,8 @@ def test_conversion_reduces_flops():
     blockless = []
     for name, res in (("pure-mlp-cifar", 32), ("repmlp-res50", 224),
                       ("repmlp-res50-c4-r8", 224), ("repmlp-light-res50", 224)):
-        blocks = _block_configs(build_named_model(name, res).layers)
+        blocks = [layer.attr("cfg") for layer in walk_layers(build_named_model(name, res).layers)
+                  if layer.kind == "repmlp_train"]
         if not blocks:
             blockless.append(name)
         configs.extend(blocks)

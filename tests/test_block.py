@@ -68,8 +68,6 @@ def test_config_validation():
     with pytest.raises(ShapeError):
         RepMLPConfig(4, 4, 8, 8, 4, 4, branch_kernels=(3, 3))
     with pytest.raises(ShapeError):
-        RepMLPConfig(4, 4, 8, 8, 4, 4, gp_nonlinearity="tanh")
-    with pytest.raises(ShapeError):
         RepMLPConfig(4, 4, 8, 8, 4, 4, gp_internal_dim=0)
     # each of these passed the range checks as a float or bool stand-in:
     # in_channels=4.0 built a block with fc_in_dim 64.0, True ran as 1
@@ -161,7 +159,7 @@ def test_partition_perceptron_matches_manual_affine():
     scale = w.fc3_bn.gamma / np.sqrt(w.fc3_bn.var + EPS)
     shift = w.fc3_bn.beta - w.fc3_bn.mean * scale
     manual = (flat @ w.fc3.kernel.T) * scale + shift
-    got = partition_perceptron(pmap, cfg, w)
+    got = partition_perceptron(pmap, cfg, w.fc3, w.fc3_bn)
     np.testing.assert_allclose(got, manual.reshape(4, 2, 2, 2), atol=1e-12)
 
 

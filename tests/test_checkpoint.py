@@ -241,6 +241,24 @@ def test_non_block_record_rejected(tmp_path):
         load_block_checkpoint(str(path))
 
 
+def test_retired_global_nonlinearity_rejected(tmp_path, capsys):
+    # a record may only say "relu": "identity" is what files of blocks
+    # without the global-path ReLU hold, and a record without the key is
+    # not a v1 record
+    record = config_record(CFG, "train")
+    entries = [(name.encode(), arr.shape, arr.astype("<f4").tobytes())
+               for name, arr in weights_to_tensors(make_weights()).items()]
+    del record["gp_nonlinearity"]
+    path, out = tmp_path / "nl.rmlp", tmp_path / "out.rmlp"
+    for rec in (dict(record, gp_nonlinearity="identity"), record):
+        _hand_built(path, json.dumps(rec, sort_keys=True).encode(), entries)
+        with pytest.raises(CheckpointError, match="gp_nonlinearity"):
+            load_block_checkpoint(str(path))
+        assert main(["convert", str(path), str(out)]) == 2
+        assert "gp_nonlinearity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _with_eps(w, fc3_eps, other_eps):
     def bn(b, eps):
         return dataclasses.replace(b, eps=eps)

@@ -84,11 +84,14 @@ def test_verify_rejects_malformed_config(capsys):
         ("verify", "--config", CFG_TEXT, "--tolerance", "nan"),
         ("verify", "--config", CFG_TEXT, "--batch", "0"),
         ("bench", "--config", CFG_TEXT, "--batch", "0", "--repeats", "2"),
+        ("verify", "--config", CFG_TEXT + ",nl=identity"),
     )
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
+    # the last case: the global-path nonlinearity is no longer a config key
+    assert err == "error: unknown config keys: nl\n"
 
 
 @pytest.mark.parametrize("exc", [

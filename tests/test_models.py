@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import walk_layers
 
 from repmlp.block import RepMLPConfig
 from repmlp.models import (
@@ -128,25 +129,14 @@ def test_resnet50_structure():
     assert kinds.count("add") == 16          # 3 + 4 + 6 + 3 bottlenecks
     assert shape_of(model) == ("vec", 1000)
     # every conv in the train graph is bias-free and carries its bn
-    def walk(layers):
-        for layer in layers:
-            if layer.kind == "conv":
-                assert layer.attr("bn") is True
-            for branch in layer.children:
-                walk(branch)
-    walk(model.layers)
+    for layer in walk_layers(model.layers):
+        if layer.kind == "conv":
+            assert layer.attr("bn") is True
 
 
 def test_repmlp_resnet_block_configs():
     model = MODEL_BUILDERS["repmlp-res50"]()
-    cfgs = []
-    def walk(layers):
-        for layer in layers:
-            if layer.kind == "repmlp_train":
-                cfgs.append(layer.attr("cfg"))
-            for branch in layer.children:
-                walk(branch)
-    walk(model.layers)
+    cfgs = [l.attr("cfg") for l in walk_layers(model.layers) if l.kind == "repmlp_train"]
     assert len(cfgs) == 3 + 5                # stride-1 bottlenecks of c3 and c4
     c3 = [c for c in cfgs if c.height == 28]
     c4 = [c for c in cfgs if c.height == 14]
@@ -212,14 +202,10 @@ def test_pure_mlp_structure():
 def test_convert_graph_deploy_form():
     model = build_pure_mlp_cifar()
     deploy = convert_graph(model)
-    def walk(layers):
-        for layer in layers:
-            assert layer.kind != "repmlp_train"
-            if layer.kind == "conv":
-                assert layer.attr("bn") is False
-            for branch in layer.children:
-                walk(branch)
-    walk(deploy.layers)
+    for layer in walk_layers(deploy.layers):
+        assert layer.kind != "repmlp_train"
+        if layer.kind == "conv":
+            assert layer.attr("bn") is False
     # deploy weights come only from the fold: a deploy conv and a deploy
     # block are both refused at init
     rng = np.random.default_rng(0)
@@ -237,8 +223,12 @@ def test_forward_matches_after_graph_conversion():
     y = run_model(model, weights, x)
     assert y.shape == (2, 10)
     deploy = convert_graph(model)
-    y2 = run_model(deploy, convert_model_weights(model, weights), x)
+    deploy_weights = convert_model_weights(model, weights)
+    y2 = run_model(deploy, deploy_weights, x)
     np.testing.assert_allclose(y2, y, atol=1e-8, rtol=0)
+    # an empty batch runs through every layer, flatten included
+    assert run_model(model, weights, x[:0]).shape == (0, 10)
+    assert run_model(deploy, deploy_weights, x[:0]).shape == (0, 10)
 
 
 def test_forward_wide_convnet_and_residual_adds():
@@ -247,6 +237,7 @@ def test_forward_wide_convnet_and_residual_adds():
     weights = init_model_weights(model, rng, np.float64)
     x = rng.uniform(-1, 1, (2, 3, 32, 32))
     assert run_model(model, weights, x).shape == (2, 10)
+    assert run_model(model, weights, x[:0]).shape == (0, 10)
 
     # miniature residual tower exercises both shortcut kinds end to end
     from repmlp.models import _original_bottleneck
@@ -314,14 +305,7 @@ def test_build_named_model_registry():
 
 def test_resnet_alternate_resolution_uses_larger_tiles():
     model = MODEL_BUILDERS["repmlp-res50"](input_res=320)
-    cfgs = []
-    def walk(layers):
-        for layer in layers:
-            if layer.kind == "repmlp_train":
-                cfgs.append(layer.attr("cfg"))
-            for branch in layer.children:
-                walk(branch)
-    walk(model.layers)
+    cfgs = [l.attr("cfg") for l in walk_layers(model.layers) if l.kind == "repmlp_train"]
     assert all(c.part_h == 10 and c.branch_kernels == (1, 3, 5, 7) for c in cfgs)
     assert {c.height for c in cfgs} == {40, 20}
 
@@ -337,17 +321,16 @@ def test_pool_layer_validation():
 
 
 def test_conv_and_fc_layer_validation():
-    for in_ch, out_ch, k, stride, pad, groups in (
-            (3, 3, 3, 0, 0, 1), (0, 3, 3, 1, 0, 1), (3, 0, 3, 1, 0, 1), (3, 3, 0, 1, 0, 1),
-            (3, 3, 3, 1, -1, 1), (3, 3, 3, 1, 0, 0), (3, 3.0, 3, 1, 0, 1), (3, 3, 3.0, 1, 0, 1),
-            (3, 3, 3, 1, 0.0, 1), (True, 3, 1, 1, 0, 1), (3, 3, 3, True, 0, 1),
-            (4, 4, 3, 1, 0, 3), (4, 6, 1, 1, 0, 4), (6, 4, 1, 1, 0, 4)):
+    for in_ch, out_ch, k, stride, pad in (
+            (3, 3, 3, 0, 0), (0, 3, 3, 1, 0), (3, 0, 3, 1, 0), (3, 3, 0, 1, 0),
+            (3, 3, 3, 1, -1), (3, 3.0, 3, 1, 0), (3, 3, 3.0, 1, 0),
+            (3, 3, 3, 1, 0.0), (True, 3, 1, 1, 0), (3, 3, 3, True, 0)):
         with pytest.raises(ShapeError):
-            conv_layer(in_ch, out_ch, k, stride, pad, groups)
+            conv_layer(in_ch, out_ch, k, stride, pad)
     for in_dim, out_dim in ((0, 2), (2, 0), (2.0, 2), (2, True)):
         with pytest.raises(ShapeError):
             fc_layer(in_dim, out_dim)
-    assert conv_layer(4, 6, 3, 2, 1, 2).attr("groups") == 2
+    assert conv_layer(4, 6, 3, 2, 1).attr("groups") == 1
     # a 5x5 window fits a 4x4 map only once it is padded
     with pytest.raises(ShapeError):
         count_flops(Model("too-wide", (3, 4, 4), (conv_layer(3, 3, 5),)))

@@ -7,6 +7,7 @@ import pstats
 
 import numpy as np
 import pytest
+from conftest import walk_layers
 
 from repmlp.block import RepMLPConfig, RepMLPTrainWeights, forward_train, random_train_weights
 from repmlp.checkpoint import load_block_checkpoint, save_infer_checkpoint
@@ -479,7 +480,6 @@ def test_equivalence_spot_checks_both_dtypes():
         RepMLPConfig(8, 4, 14, 14, 7, 7, groups=4, branch_kernels=(1, 3, 5, 7),
                      gp_internal_dim=6),
         RepMLPConfig(2, 6, 6, 6, 6, 6, branch_kernels=(5,)),
-        RepMLPConfig(4, 4, 12, 8, 4, 4, branch_kernels=(), gp_nonlinearity="identity"),
     ]
     for dtype, tol in ((np.float32, 1e-4), (np.float64, 1e-9)):
         rng = np.random.default_rng(7)
@@ -668,16 +668,10 @@ def magnitude_bound(cfg):
 def bundled_block_configs():
     """Distinct block configs of every MODEL_BUILDERS model at its default size."""
     found = {}
-
-    def walk(layers):
-        for layer in layers:
+    for build in MODEL_BUILDERS.values():
+        for layer in walk_layers(build().layers):
             if layer.kind == "repmlp_train":
                 found.setdefault(layer.attr("cfg"))
-            for branch in layer.children:
-                walk(branch)
-
-    for build in MODEL_BUILDERS.values():
-        walk(build().layers)
     return list(found)
 
 

@@ -13,7 +13,7 @@ child process per tree). Compared artefacts, all from fixed seeds:
   ragged last one, and the global-path and head FCs end in a ragged GEMM
   tile;
 * `repmlp init` and `repmlp convert` checkpoints for three block configs
-  (one with an identity global-path nonlinearity, one whose single tile
+  (one with 4 groups and a 3-wide global path, one whose single tile
   covers the image, so it has no global path, with four branches), and
   the `repmlp export-fc3` map of each of those six checkpoints;
 * `repmlp count` output for every model in MODEL_BUILDERS, at its default
@@ -47,7 +47,7 @@ import sys
 import tempfile
 
 CONFIGS = ("C=8,O=8,H=14,W=14,h=7,w=7,g=2,ks=1-3-5",
-           "C=4,O=8,H=16,W=16,h=8,w=8,g=4,ks=1-3-7,gp=3,nl=identity",
+           "C=4,O=8,H=16,W=16,h=8,w=8,g=4,ks=1-3-7,gp=3",
            "C=4,O=4,H=8,W=8,h=8,w=8,g=2,ks=1-3-5-7")
 REAL_BLOCKS = (("cifar", "C=64,O=64,H=8,W=8,h=8,w=8,g=2,ks=1-3-5-7,gp=832"),
                ("light_c4", "C=128,O=128,H=14,W=14,h=7,w=7,g=8,ks=1-3-5,gp=2048"))
