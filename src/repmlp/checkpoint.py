@@ -141,7 +141,11 @@ def save_checkpoint(path: str, config: dict, tensors: dict[str, np.ndarray]) -> 
     with the same pid is overwritten.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "wb")
+    # an error from open or rename names the path given, not the temporary one
+    try:
+        fh = open(tmp, "wb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with fh:
             fh.write(MAGIC)
@@ -154,7 +158,10 @@ def save_checkpoint(path: str, config: dict, tensors: dict[str, np.ndarray]) -> 
                 _write_tensor(fh, name, arr)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         os.unlink(tmp)
         raise

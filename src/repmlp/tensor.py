@@ -15,17 +15,19 @@ matrix one slab of whole images at a time, at most SLAB_BYTES of it (or
 one image), and makes one _gemm call per slab and group into that slab's
 columns of the output, so the patch memory is bounded by the slab and not
 by the batch. An FC and a 1x1 conv need no patch matrix and make one call
-per group, through one loop, _grouped_gemm. The GEMM's
-summation order is fixed: the dot products are cut into KC-long chunks,
-each one BLAS call over all whole TILE-column groups (a ragged tail is
-zero-padded to TILE), and the chunk sums are added by a fixed pairwise
-tree (blocked summation; Blanchard, Higham and Mary, 2020). Each element
-errs by at most gamma_n |w|^T |x| with n = KC + ceil(log2(ceil(K / KC))),
-where a single BLAS chain would allow n = K. Results are bitwise identical
-under any split of the batch dimension, the conv's slabs included, if BLAS
-gives a column the same bytes at every call width that is a multiple of
-TILE (the tests check it on each host). BLAS picks its kernels by CPU, so
-the bytes are those of one host and BLAS build.
+per group, through one loop, _grouped_gemm. _gemm multiplies one operand
+of whole TILE-column groups: one whose column count is not a multiple of
+TILE is copied once into a zero-padded buffer. The GEMM's summation order
+is fixed: the dot products are cut into KC-long chunks, each one BLAS call
+over all the operand's columns, and the chunk sums are added by a fixed
+pairwise tree (blocked summation; Blanchard, Higham and Mary, 2020). Each
+element errs by at most gamma_n |w|^T |x| with
+n = KC + ceil(log2(ceil(K / KC))), where a single BLAS chain would allow
+n = K. Results are bitwise identical under any split of the batch
+dimension, the conv's slabs included, if BLAS gives a column the same
+bytes at every call width that is a multiple of TILE (the tests check it
+on each host). BLAS picks its kernels by CPU, so the bytes are those of
+one host and BLAS build.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-# Columns per GEMM group, and the dot-product length of one BLAS call (see
-# _gemm). On a 2-vCPU AVX-512 Xeon with OpenBLAS 0.3.31, groups of 16 and 32
-# keep the bytes of one call per 32-column tile and 8 and 4 do not; 16 ran
-# repmlp-res50 at batch 1 about 7% faster than 32. KC 32 ran it about 10%
-# slower, and KC 128 failed the 1e-4 verify of the real c3 block at every
-# seed from 1 to 10.
+# Columns per GEMM group, to which _gemm zero-pads a ragged operand, and the
+# dot-product length of one BLAS call. On a 2-vCPU AVX-512 Xeon with
+# OpenBLAS 0.3.31, groups of 16 and 32 keep the bytes of one call per
+# 32-column tile and 8 and 4 do not; 16 ran repmlp-res50 at batch 1 about
+# 7% faster than 32. KC 32 ran it about 10% slower, and KC 128 failed the
+# 1e-4 verify of the real c3 block at every seed from 1 to 10.
 TILE = 16
 KC = 64
 # Patch-matrix bytes a conv builds and multiplies at a time (see conv2d).
@@ -221,20 +223,18 @@ class BnParams:
 def _gemm(w: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
     """Write w (P, K) @ cols (K, M) into out (P, M); M grows with the batch.
 
-    All whole TILE-column groups go to _tile_products as one operand; only
-    the ragged tail is zero-padded to TILE, in its own buffer. Both
-    operands are made C-contiguous first (a no-op for the callers' conv
+    cols goes to _tile_products as one operand of whole TILE-column groups:
+    a ragged one is first copied into a zero-filled buffer whose width is M
+    rounded up to TILE, and only its first M product columns are kept. Both
+    operands reach BLAS C-contiguous (a no-op for the callers' conv
     operands), because BLAS rounds differently per operand layout.
     """
-    w, cols = np.ascontiguousarray(w), np.ascontiguousarray(cols)
     k, m = cols.shape
-    full = m - m % TILE
-    if full:
-        out[:, :full] = _tile_products(w, cols[:, :full])
-    if full < m:
-        tail = np.zeros((k, TILE), dtype=cols.dtype)
-        tail[:, :m - full] = cols[:, full:]
-        out[:, full:] = _tile_products(w, tail)[:, :m - full]
+    if m % TILE:
+        padded = np.zeros((k, m + TILE - m % TILE), dtype=cols.dtype)
+        padded[:, :m] = cols
+        cols = padded
+    out[:] = _tile_products(np.ascontiguousarray(w), np.ascontiguousarray(cols))[:, :m]
 
 
 def _tile_products(w: np.ndarray, cols: np.ndarray) -> np.ndarray:

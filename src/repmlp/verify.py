@@ -67,10 +67,11 @@ def parse_config(text: str) -> RepMLPConfig:
         raise ShapeError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     def as_int(key, value):
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ShapeError(f"config key {key} must be an integer, got {value!r}") from exc
+        # ASCII digits only: int() would also take "1_0", "+8" and non-ASCII
+        # digits, and the report would then name a config unlike the text
+        if not (value.isascii() and value.isdigit()):
+            raise ShapeError(f"config key {key} must be an integer, got {value!r}")
+        return int(value)
 
     nums = {k: as_int(k, fields[k]) for k in required}
     ks_text = fields.get("ks", "none")

@@ -84,6 +84,10 @@ def test_verify_rejects_malformed_config(capsys):
         ("verify", "--config", CFG_TEXT, "--tolerance", "nan"),
         ("verify", "--config", CFG_TEXT, "--batch", "0"),
         ("bench", "--config", CFG_TEXT, "--batch", "0", "--repeats", "2"),
+        # int() takes these, but they are not plain ASCII decimal integers
+        ("verify", "--config", CFG_TEXT.replace("C=4", "C=1_0")),
+        ("verify", "--config", CFG_TEXT.replace("C=4", "C=+8")),
+        ("verify", "--config", CFG_TEXT.replace("C=4", "C=\u0668")),
         ("verify", "--config", CFG_TEXT + ",nl=identity"),
     )
     for argv in cases:
@@ -185,6 +189,20 @@ def test_convert_missing_input_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "convert", str(tmp_path / "nope.rmlp"),
                            str(tmp_path / "out.rmlp"))
     assert code == 2 and "error:" in err
+
+
+def test_failed_save_names_the_given_path(tmp_path, capsys):
+    # the save writes a temporary file beside the output and renames it;
+    # when the file cannot be made (no such directory) or the rename fails
+    # (a directory is in the way), the one-line error names the output path
+    # and no temporary file is left
+    (tmp_path / "dir").mkdir()
+    for out, errno in ((tmp_path / "missing" / "t.rmlp", 2), (tmp_path / "dir", 21)):
+        code, stdout, err = run_cli(capsys, "init", "--config", CFG_TEXT, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: [Errno {errno}] ") and err.endswith(f": {str(out)!r}\n")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "dir"]
 
 
 def _malformed_checkpoint(path, case):

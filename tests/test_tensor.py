@@ -156,8 +156,8 @@ def test_gemm_sums_kc_chunks_by_fixed_pairwise_tree():
     # then a pairwise tree over them (7 chunks: ((0+1)+(2+3)) + ((4+5)+6)).
     # The helper multiplies all whole tiles in one call per chunk, and the
     # reference one separate TILE-wide call per tile, so a column's bytes
-    # must not depend on the call's width; columns past the ragged tail's
-    # end are zeros and do not touch the rest
+    # must not depend on the call's width; a ragged operand is zero-padded
+    # to whole tiles, and its padding columns do not touch the rest
     rng = np.random.default_rng(104)
     for dtype in (np.float32, np.float64):
         for k, tree in ((KC, lambda p: p[0]),
@@ -399,12 +399,12 @@ def test_partition_rejects_non_divisible():
 
 def test_kernels_bitwise_under_batch_split():
     # a batch split by hand and concatenated must equal the whole batch bit
-    # for bit, for the conv and the grouped FC kernel alike: every GEMM runs
-    # its whole TILE-column groups in one BLAS call per chunk and pads only
-    # its tail to TILE, so a split only changes the call's width (a
-    # multiple of TILE) and where a position sits in it. The strided and the one-pixel-output convs
-    # split down to a single output pixel; the FC with K over KC and a
-    # ragged last tile splits around one tile
+    # for bit, for the conv and the grouped FC kernel alike: every GEMM
+    # zero-pads its operand to whole TILE-column groups and runs them in one
+    # BLAS call per chunk, so a split only changes the call's width (a
+    # multiple of TILE) and where a position sits in it. The strided and
+    # the one-pixel-output convs split down to a single output pixel; the FC
+    # with K over KC and a ragged last tile splits around one tile
     rng = np.random.default_rng(11)
     x = rng.normal(size=(10, 4, 6, 6)).astype(np.float32)
     conv = ConvSpec(rng.normal(size=(6, 2, 3, 3)).astype(np.float32),
@@ -491,6 +491,30 @@ def test_conv_slabs_give_the_bytes_of_one_slab(monkeypatch):
             got = conv2d(x, spec)
             assert widths == [b * positions for b in images for _ in range(g)]
             assert got.tobytes() == whole.tobytes(), slab_bytes
+
+
+def test_ragged_gemm_streams_weights_once(monkeypatch):
+    # a GEMM whose column count is not a multiple of TILE runs one chunk
+    # loop over one zero-padded operand, so each group reads its weights
+    # once: a grouped conv with a 7x7 output at batch 1 (49 columns) and a
+    # grouped FC over 33 rows make one _tile_products call per group
+    from repmlp import tensor
+    rng = np.random.default_rng(41)
+    calls = []
+    products = tensor._tile_products
+
+    def counted_products(w, cols):
+        calls.append(cols.shape[1])
+        return products(w, cols)
+
+    monkeypatch.setattr(tensor, "_tile_products", counted_products)
+    conv = ConvSpec(rng.normal(size=(6, 4, 3, 3)).astype(np.float32), None, (1, 1), 3)
+    got = conv2d(rng.normal(size=(1, 12, 7, 7)).astype(np.float32), conv)
+    assert got.shape == (1, 6, 7, 7) and calls == [4 * TILE] * 3
+    calls.clear()
+    fc = FcSpec(rng.normal(size=(8, 2 * KC + 3)).astype(np.float32), None, 2)
+    got = grouped_fc(rng.normal(size=(33, 4 * KC + 6)).astype(np.float32), fc)
+    assert got.shape == (33, 8) and calls == [3 * TILE] * 2
 
 
 def test_conv_on_empty_batch():
