@@ -9,7 +9,6 @@ FC layers that compute the same function.
 from .block import (
     RepMLPConfig,
     RepMLPTrainWeights,
-    check_block_input,
     check_train_weights,
     forward_train,
     random_train_weights,
@@ -90,7 +89,6 @@ __all__ = [
     "build_pure_mlp_cifar",
     "build_resnet50",
     "build_wide_convnet",
-    "check_block_input",
     "check_cell",
     "check_infer_weights",
     "check_train_weights",

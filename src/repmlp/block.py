@@ -190,15 +190,6 @@ def check_global_mlp(cfg: RepMLPConfig, fc1: FcSpec | None, fc2: FcSpec | None) 
         raise ShapeError(f"fc1 and fc2 must map {c} -> {d} -> {c}")
 
 
-def check_block_input(x: np.ndarray, cfg: RepMLPConfig) -> None:
-    check_feature_map(x)
-    n, c, h, w = x.shape
-    if (c, h, w) != (cfg.in_channels, cfg.height, cfg.width):
-        raise ShapeError(
-            f"block input {(c, h, w)} does not match config "
-            f"{(cfg.in_channels, cfg.height, cfg.width)}")
-
-
 def global_perceptron(x: np.ndarray, cfg: RepMLPConfig, fc1: FcSpec | None,
                       fc2: FcSpec | None, bn: BnParams | None) -> np.ndarray:
     """Partition the input and add the pooled-MLP correction to every tile.
@@ -210,7 +201,11 @@ def global_perceptron(x: np.ndarray, cfg: RepMLPConfig, fc1: FcSpec | None,
     weights are never touched then. The weights are not validated here;
     the forwards do that once.
     """
-    check_block_input(x, cfg)
+    check_feature_map(x)
+    if x.shape[1:] != (cfg.in_channels, cfg.height, cfg.width):
+        raise ShapeError(
+            f"block input {x.shape[1:]} does not match config "
+            f"{(cfg.in_channels, cfg.height, cfg.width)}")
     pmap = partition(x, cfg.part_h, cfg.part_w)
     if not cfg.has_global_path:
         return pmap

@@ -7,21 +7,22 @@ mutated and the output dtype always equals the input dtype. Convolution
 has zero padding and an integer stride and runs at its output stride: no
 output that is later discarded is computed.
 
-Convolution and the grouped FC run on one BLAS GEMM helper, _gemm: a
-conv multiplies its kernel by a patch matrix with one column per output
-position and one row per (channel, tap row, tap column), and an FC
-multiplies its kernel by the transposed input rows. A conv builds that
-matrix one slab of whole images at a time, at most SLAB_BYTES of it (or
-one image), and makes one _gemm call per slab and group into that slab's
-columns of the output, so the patch memory is bounded by the slab and not
-by the batch. An FC and a 1x1 conv need no patch matrix and make one call
-per group, through one loop, _grouped_gemm. _gemm multiplies one operand
-of whole TILE-column groups: one whose column count is not a multiple of
-TILE is copied once into a zero-padded buffer. The GEMM's summation order
-is fixed: the dot products are cut into KC-long chunks, each one BLAS call
-over all the operand's columns, and the chunk sums are added by a fixed
-pairwise tree (blocked summation; Blanchard, Higham and Mary, 2020). Each
-element errs by at most gamma_n |w|^T |x| with
+Convolution and the grouped FC run on one BLAS GEMM helper, _gemm, which
+takes the group count and multiplies row block j of the kernel by row
+block j of its operand. A conv's operand is a patch matrix with one column
+per output position and one row per (channel, tap row, tap column); a conv
+builds it for one group and one slab of whole images at a time, at most
+SLAB_BYTES of it (or one image), and makes one single-group _gemm call per
+slab and group into that slab's columns of the output, so the patch memory
+is bounded by the slab and not by the batch. An FC and a 1x1 conv need no
+patch matrix: their input, one row per input feature, goes to one _gemm
+call over all groups. _gemm lays its operand out once for all groups:
+C-contiguous, and copied into a zero-padded buffer of whole TILE-column
+groups when its column count is not a multiple of TILE. The GEMM's
+summation order is fixed: the dot products are cut into KC-long chunks,
+each one BLAS call over all the operand's columns, and the chunk sums are
+added by a fixed pairwise tree (blocked summation; Blanchard, Higham and
+Mary, 2020). Each element errs by at most gamma_n |w|^T |x| with
 n = KC + ceil(log2(ceil(K / KC))), where a single BLAS chain would allow
 n = K. Results are bitwise identical under any split of the batch
 dimension, the conv's slabs included, if BLAS gives a column the same
@@ -220,21 +221,26 @@ class BnParams:
         return scale, self.beta - self.mean * scale
 
 
-def _gemm(w: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
-    """Write w (P, K) @ cols (K, M) into out (P, M); M grows with the batch.
+def _gemm(w: np.ndarray, cols: np.ndarray, out: np.ndarray, groups: int) -> None:
+    """Write w (P, K/groups) @ cols (K, M) into out (P, M) group by group:
+    row block j of w times row block j of cols into row block j of out.
 
-    cols goes to _tile_products as one operand of whole TILE-column groups:
-    a ragged one is first copied into a zero-filled buffer whose width is M
-    rounded up to TILE, and only its first M product columns are kept. Both
-    operands reach BLAS C-contiguous (a no-op for the callers' conv
-    operands), because BLAS rounds differently per operand layout.
+    cols is laid out once for all groups: C-contiguous, and zero-padded to
+    whole TILE-column groups when M is not a multiple of TILE; only the
+    first M product columns are kept. w also reaches BLAS C-contiguous (a
+    no-op for the callers' kernels), because BLAS rounds differently per
+    operand layout.
     """
     k, m = cols.shape
     if m % TILE:
         padded = np.zeros((k, m + TILE - m % TILE), dtype=cols.dtype)
         padded[:, :m] = cols
         cols = padded
-    out[:] = _tile_products(np.ascontiguousarray(w), np.ascontiguousarray(cols))[:, :m]
+    cols, w = np.ascontiguousarray(cols), np.ascontiguousarray(w)
+    qg, kg = w.shape[0] // groups, k // groups
+    for gi in range(groups):
+        rows = slice(gi * qg, (gi + 1) * qg)
+        out[rows] = _tile_products(w[rows], cols[gi * kg:(gi + 1) * kg])[:, :m]
 
 
 def _tile_products(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -256,14 +262,6 @@ def _tile_products(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return total
 
 
-def _grouped_gemm(w: np.ndarray, cols: np.ndarray, out: np.ndarray, groups: int) -> None:
-    """One _gemm per group: row block j of w times row block j of cols
-    into row block j of out."""
-    qg, kg = w.shape[0] // groups, cols.shape[0] // groups
-    for gi in range(groups):
-        _gemm(w[gi * qg:(gi + 1) * qg], cols[gi * kg:(gi + 1) * kg], out[gi * qg:(gi + 1) * qg])
-
-
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Grouped 2-D convolution with zero padding, run at spec.stride.
 
@@ -277,9 +275,9 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     columns j, j+s, ..., and one copy per tap row i then takes rows i, i+s,
     ... of every such plane. That is kh+kw copies, and at stride 1 each
     runs over whole H_out x W_out planes. Each slab and group makes one
-    _gemm call into its columns of the result. A 1x1 conv needs no patch
-    matrix: every s-th row and column of the channel-major input goes to
-    _grouped_gemm, as grouped_fc's input does.
+    single-group _gemm call into its columns of the result. A 1x1 conv
+    needs no patch matrix: every s-th row and column of the channel-major
+    input goes to one _gemm call over all groups, as grouped_fc's input does.
     The bias is added last, and the result is transposed back to
     (N, C, H, W) once.
     """
@@ -313,7 +311,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     # first: the 36 model 1x1 convs of repmlp-res50 at batch 1 took a median
     # 0.063 s that way and 0.055 s here, on a 2-vCPU Xeon.
     if kh == kw == 1:
-        _grouped_gemm(kernel, xc[:, :, ::s, ::s].reshape(c, m), out, g)
+        _gemm(kernel, xc[:, :, ::s, ::s].reshape(c, m), out, g)
     else:
         per_image = k * ho * wo
         per_shifted = cg * kw * hp * wo
@@ -324,6 +322,11 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
             b = min(nb, n - n0)
             cols = buf[:b * per_image].reshape(cg, kh, kw, b, ho, wo)
             shifted = shift_buf[:b * per_shifted].reshape(cg, kw, b, hp, wo)
+            # One group's patch per _gemm call. All groups' patches and one
+            # grouped call kept the bytes but, on a 2-vCPU Xeon, slowed 8 of 9
+            # pure-mlp-cifar branch convs by up to 17% (512 tiles, k=5: 12.13
+            # -> 14.25 ms) and res50 c3's 5x5 branch 1.13 -> 1.49 ms: one
+            # group's patch fits in L2, all groups' patches do not.
             for gi in range(g):
                 xg = xc[gi * cg:(gi + 1) * cg, n0:n0 + b]
                 for j in range(kw):
@@ -331,7 +334,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
                 for i in range(kh):
                     cols[:, i] = shifted[:, :, :, i:i + s * (ho - 1) + 1:s]
                 _gemm(kernel[gi * og:(gi + 1) * og], cols.reshape(k, b * ho * wo),
-                      out[gi * og:(gi + 1) * og, n0 * ho * wo:(n0 + b) * ho * wo])
+                      out[gi * og:(gi + 1) * og, n0 * ho * wo:(n0 + b) * ho * wo], 1)
     if spec.bias is not None:
         out += spec.bias.reshape(out_ch, 1)
     return np.ascontiguousarray(out.reshape(out_ch, n, ho, wo).transpose(1, 0, 2, 3))
@@ -340,8 +343,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 def grouped_fc(v: np.ndarray, spec: FcSpec) -> np.ndarray:
     """Grouped fully connected layer on (N, P) inputs.
 
-    _grouped_gemm runs the kernel against the transposed input, one _gemm
-    call per group, and the bias is added last. That is bit for bit a
+    One _gemm call runs the kernel against the transposed input, group by
+    group, and the bias is added last. That is bit for bit a
     grouped 1x1 convolution of the input reshaped to (N, P, 1, 1) with the
     kernel viewed as (Q, P/g, 1, 1). Output feature block j depends only
     on input block j.
@@ -354,7 +357,7 @@ def grouped_fc(v: np.ndarray, spec: FcSpec) -> np.ndarray:
     if p != spec.in_dim:
         raise ShapeError(f"fc input has {p} features, spec expects {spec.in_dim}")
     out = np.empty((n, spec.out_dim), dtype=v.dtype)
-    _grouped_gemm(spec.kernel, v.T, out.T, spec.groups)
+    _gemm(spec.kernel, v.T, out.T, spec.groups)
     if spec.bias is not None:
         out += spec.bias
     return out

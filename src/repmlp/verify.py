@@ -28,6 +28,10 @@ _BRANCH_CYCLE = ((), (1,), (3,), (1, 3), (1, 3, 5), (5,), (1, 3, 5, 7),
                  (3, 7), (1, 5), (7,))
 _PART_MULTIPLIERS = ((1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (2, 3), (3, 2),
                      (1, 3), (3, 1))
+# the integer keys a config string must carry, in the order format_config
+# writes them, and the RepMLPConfig field each one sets
+_CONFIG_FIELDS = (("C", "in_channels"), ("O", "out_channels"), ("H", "height"),
+                  ("W", "width"), ("h", "part_h"), ("w", "part_w"), ("g", "groups"))
 
 
 def thread_count() -> int:
@@ -39,9 +43,8 @@ def thread_count() -> int:
 
 def format_config(cfg: RepMLPConfig) -> str:
     ks = "-".join(str(k) for k in cfg.branch_kernels) or "none"
-    text = (f"C={cfg.in_channels},O={cfg.out_channels},"
-            f"H={cfg.height},W={cfg.width},h={cfg.part_h},w={cfg.part_w},"
-            f"g={cfg.groups},ks={ks}")
+    text = ",".join(f"{key}={getattr(cfg, field)}" for key, field in _CONFIG_FIELDS)
+    text += f",ks={ks}"
     if cfg.gp_internal_dim is not None:
         text += f",gp={cfg.gp_internal_dim}"
     return text
@@ -57,33 +60,30 @@ def parse_config(text: str) -> RepMLPConfig:
         if key in fields:
             raise ShapeError(f"duplicate config key {key!r}")
         fields[key] = value
-    required = ("C", "O", "H", "W", "h", "w", "g")
+    required = [key for key, _ in _CONFIG_FIELDS]
     missing = [k for k in required if k not in fields]
     if missing:
         raise ShapeError(f"config string missing keys: {', '.join(missing)}")
-    known = set(required) | {"ks", "gp"}
-    unknown = set(fields) - known
+    unknown = set(fields) - set(required) - {"ks", "gp"}
     if unknown:
         raise ShapeError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     def as_int(key, value):
-        # ASCII digits only: int() would also take "1_0", "+8" and non-ASCII
-        # digits, and the report would then name a config unlike the text
-        if not (value.isascii() and value.isdigit()):
+        # only as format_config writes it: int() would also take "1_0", "+8",
+        # "08" and non-ASCII digits, and the report would then name a config
+        # unlike the text
+        if not (value.isascii() and value.isdigit() and str(int(value)) == value):
             raise ShapeError(f"config key {key} must be an integer, got {value!r}")
         return int(value)
 
-    nums = {k: as_int(k, fields[k]) for k in required}
+    nums = {field: as_int(key, fields[key]) for key, field in _CONFIG_FIELDS}
     ks_text = fields.get("ks", "none")
     if ks_text in ("none", ""):
         kernels: tuple[int, ...] = ()
     else:
         kernels = tuple(as_int("ks", part) for part in ks_text.split("-"))
     gp = as_int("gp", fields["gp"]) if "gp" in fields else None
-    return RepMLPConfig(
-        in_channels=nums["C"], out_channels=nums["O"],
-        height=nums["H"], width=nums["W"], part_h=nums["h"], part_w=nums["w"],
-        groups=nums["g"], branch_kernels=kernels, gp_internal_dim=gp)
+    return RepMLPConfig(**nums, branch_kernels=kernels, gp_internal_dim=gp)
 
 
 def full_grid() -> tuple[RepMLPConfig, ...]:
@@ -130,12 +130,6 @@ class CellResult:
     ok: bool
 
 
-def cell_rng(base_seed: int, config_text: str) -> np.random.Generator:
-    """Per-cell stream: stable under grid reordering."""
-    crc = zlib.crc32(config_text.encode("ascii"))
-    return np.random.default_rng(np.random.SeedSequence([base_seed, crc]))
-
-
 def draw_cell(cfg: RepMLPConfig, base_seed: int, dtype=np.float32,
               batch: int = 2) -> tuple[RepMLPTrainWeights, np.ndarray]:
     """Training weights, then an input batch, from the config's own stream.
@@ -145,7 +139,10 @@ def draw_cell(cfg: RepMLPConfig, base_seed: int, dtype=np.float32,
     """
     if batch < 1:
         raise ShapeError("batch must be >= 1")
-    rng = cell_rng(base_seed, format_config(cfg))
+    # seeded by the config string, so a cell's stream does not depend on
+    # where it sits in the grid
+    crc = zlib.crc32(format_config(cfg).encode("ascii"))
+    rng = np.random.default_rng(np.random.SeedSequence([base_seed, crc]))
     dt = np.dtype(dtype).type
     weights = random_train_weights(cfg, rng, dt)
     x = _uniform(rng, (batch, cfg.in_channels, cfg.height, cfg.width), -1.0, 1.0, dt)

@@ -88,6 +88,10 @@ def test_verify_rejects_malformed_config(capsys):
         ("verify", "--config", CFG_TEXT.replace("C=4", "C=1_0")),
         ("verify", "--config", CFG_TEXT.replace("C=4", "C=+8")),
         ("verify", "--config", CFG_TEXT.replace("C=4", "C=\u0668")),
+        # leading zeros: the report would name C=8, ks=3 and gp=4
+        ("verify", "--config", "C=08,O=8,H=14,W=14,h=7,w=7,g=2"),
+        ("verify", "--config", "C=8,O=8,H=14,W=14,h=7,w=7,g=2,ks=03"),
+        ("verify", "--config", "C=8,O=8,H=14,W=14,h=7,w=7,g=2,gp=0004"),
         ("verify", "--config", CFG_TEXT + ",nl=identity"),
     )
     for argv in cases:

@@ -47,7 +47,7 @@ def conv_loops(x, kernel, padding, groups):
 def gemm(w, cols):
     """The library's tiled GEMM helper, into a fresh array."""
     out = np.empty((w.shape[0], cols.shape[1]), dtype=cols.dtype)
-    _gemm(w, cols, out)
+    _gemm(w, cols, out, 1)
     return out
 
 
@@ -282,7 +282,7 @@ def test_grouped_fc_dense_matches_matmul():
 
 
 def test_grouped_fc_equals_grouped_one_by_one_conv():
-    # both run one group loop over _gemm; N = 33 is two whole TILE-column
+    # both make one grouped _gemm call; N = 33 is two whole TILE-column
     # groups plus a ragged tail, and every P / g (320, 160, 80) spans KC chunks
     rng = np.random.default_rng(8)
     p, q = 320, 12
@@ -469,9 +469,9 @@ def test_conv_slabs_give_the_bytes_of_one_slab(monkeypatch):
     widths = []
     gemm_ = tensor._gemm
 
-    def counted_gemm(w, cols, out):
+    def counted_gemm(w, cols, out, groups):
         widths.append(cols.shape[1])
-        gemm_(w, cols, out)
+        gemm_(w, cols, out, groups)
 
     monkeypatch.setattr(tensor, "_gemm", counted_gemm)
     grouped7 = ConvSpec(rng.normal(size=(8, 8, 7, 7)).astype(np.float32),
@@ -497,24 +497,41 @@ def test_ragged_gemm_streams_weights_once(monkeypatch):
     # a GEMM whose column count is not a multiple of TILE runs one chunk
     # loop over one zero-padded operand, so each group reads its weights
     # once: a grouped conv with a 7x7 output at batch 1 (49 columns) and a
-    # grouped FC over 33 rows make one _tile_products call per group
+    # grouped FC over 33 rows make one _tile_products call per group. The
+    # FC and a grouped 1x1 conv lay out their operand once, in one _gemm
+    # call for all groups; the 3x3 conv makes one _gemm call per group
     from repmlp import tensor
     rng = np.random.default_rng(41)
     calls = []
     products = tensor._tile_products
+    gemms = []
+    gemm_ = tensor._gemm
 
     def counted_products(w, cols):
         calls.append(cols.shape[1])
         return products(w, cols)
 
+    def counted_gemm(w, cols, out, groups):
+        gemms.append(groups)
+        gemm_(w, cols, out, groups)
+
     monkeypatch.setattr(tensor, "_tile_products", counted_products)
+    monkeypatch.setattr(tensor, "_gemm", counted_gemm)
     conv = ConvSpec(rng.normal(size=(6, 4, 3, 3)).astype(np.float32), None, (1, 1), 3)
     got = conv2d(rng.normal(size=(1, 12, 7, 7)).astype(np.float32), conv)
     assert got.shape == (1, 6, 7, 7) and calls == [4 * TILE] * 3
+    assert gemms == [1] * 3
     calls.clear()
+    gemms.clear()
     fc = FcSpec(rng.normal(size=(8, 2 * KC + 3)).astype(np.float32), None, 2)
     got = grouped_fc(rng.normal(size=(33, 4 * KC + 6)).astype(np.float32), fc)
     assert got.shape == (33, 8) and calls == [3 * TILE] * 2
+    assert gemms == [2]
+    calls.clear()
+    gemms.clear()
+    one = ConvSpec(rng.normal(size=(6, 4, 1, 1)).astype(np.float32), None, (0, 0), 3)
+    got = conv2d(rng.normal(size=(1, 12, 7, 7)).astype(np.float32), one)
+    assert got.shape == (1, 6, 7, 7) and calls == [4 * TILE] * 3 and gemms == [3]
 
 
 def test_conv_on_empty_batch():
