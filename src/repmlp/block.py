@@ -133,14 +133,11 @@ class RepMLPTrainWeights:
 
 
 def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
-    """Validate weight shapes against the config, and that every weight has
-    one dtype. Raises ShapeError."""
+    """Validate weight shapes against the config (the FCs via check_fcs),
+    and that every weight has one dtype. Raises ShapeError."""
     if w.fc3.bias is not None:
         raise ShapeError("fc3 must not carry a bias; its BN provides the affine part")
-    if (w.fc3.in_dim, w.fc3.out_dim, w.fc3.groups) != (cfg.fc_in_dim, cfg.fc_out_dim, cfg.groups):
-        raise ShapeError(
-            f"fc3 dims ({w.fc3.in_dim} -> {w.fc3.out_dim}, g={w.fc3.groups}) do not match "
-            f"config ({cfg.fc_in_dim} -> {cfg.fc_out_dim}, g={cfg.groups})")
+    check_fcs(cfg, w.fc3, w.fc1, w.fc2)
     if w.fc3_bn.num_features != cfg.fc_out_dim:
         raise ShapeError("fc3_bn feature count must equal out_channels * part_h * part_w")
     for conv, bn in w.branches:
@@ -162,7 +159,6 @@ def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
     if kernels != cfg.branch_kernels:
         raise ShapeError(f"branch kernels {kernels} must be the config's "
                          f"{cfg.branch_kernels}, in that order")
-    check_global_mlp(cfg, w.fc1, w.fc2)
     if cfg.has_global_path and (w.gp_bn is None or w.gp_bn.num_features != cfg.in_channels):
         raise ShapeError("global path is active; gp_bn over in_channels features is required")
     # conversion adds the branches into the fc3 kernel in place, so a mixed
@@ -174,9 +170,14 @@ def check_train_weights(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> None:
         raise ShapeError(f"block weights must all have the fc3 kernel dtype {w.fc3.kernel.dtype}")
 
 
-def check_global_mlp(cfg: RepMLPConfig, fc1: FcSpec | None, fc2: FcSpec | None) -> None:
-    """Validate the global-path MLP of either weight form: present when the path
-    is active, dense, biased, and mapping in_channels -> gp_hidden -> in_channels."""
+def check_fcs(cfg: RepMLPConfig, fc3: FcSpec, fc1: FcSpec | None, fc2: FcSpec | None) -> None:
+    """Validate the FCs of either weight form: fc3's dims and groups, and the
+    global-path MLP, present when the path is active, dense, biased, and
+    mapping in_channels -> gp_hidden -> in_channels."""
+    if (fc3.in_dim, fc3.out_dim, fc3.groups) != (cfg.fc_in_dim, cfg.fc_out_dim, cfg.groups):
+        raise ShapeError(
+            f"fc3 dims ({fc3.in_dim} -> {fc3.out_dim}, g={fc3.groups}) do not match "
+            f"config ({cfg.fc_in_dim} -> {cfg.fc_out_dim}, g={cfg.groups})")
     if not cfg.has_global_path:
         return
     if fc1 is None or fc2 is None:
@@ -224,7 +225,6 @@ def local_perceptron(pmap: np.ndarray, cfg: RepMLPConfig, w: RepMLPTrainWeights)
 
     An empty branch list contributes an exact zero tensor.
     """
-    check_feature_map(pmap)
     b = pmap.shape[0]
     out = np.zeros((b, cfg.out_channels, cfg.part_h, cfg.part_w), dtype=pmap.dtype)
     for conv, bn in w.branches:
@@ -237,7 +237,6 @@ def partition_perceptron(pmap: np.ndarray, cfg: RepMLPConfig, fc3: FcSpec,
     """Grouped FC over flattened tiles, then a 1-D BN over all
     out_channels * part_h * part_w output features. Both weight forms run
     through here; bn=None is the converted form, whose fc3 has absorbed it."""
-    check_feature_map(pmap)
     b = pmap.shape[0]
     y = grouped_fc(pmap.reshape(b, cfg.fc_in_dim), fc3)
     if bn is not None:

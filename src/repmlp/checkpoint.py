@@ -25,6 +25,7 @@ format.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -50,8 +51,6 @@ class CheckpointError(ValueError):
 
 
 def config_record(cfg: RepMLPConfig, form: str, bn_eps: float = 1e-5) -> dict:
-    if form not in (FORM_TRAIN, FORM_INFER):
-        raise CheckpointError(f"unknown weight form {form!r}")
     return {"record": "repmlp-block", "form": form, **dataclasses.asdict(cfg), "bn_eps": bn_eps,
             "gp_nonlinearity": "relu"}
 
@@ -136,10 +135,13 @@ def save_checkpoint(path: str, config: dict, tensors: dict[str, np.ndarray]) -> 
     The file is written beside path under a temporary name, flushed to disk
     and renamed over path once complete, so a write that fails partway leaves
     no partial file and any old file at path unchanged. The rename replaces
-    a symlink at path rather than writing through it. The pid in the
-    temporary name keeps processes apart; a name left by a killed process
-    with the same pid is overwritten.
+    a symlink at path rather than writing through it; a path that is, or
+    links to, neither a regular file nor a directory raises OSError EINVAL
+    and is left as it is. The pid in the temporary name keeps processes
+    apart; a name left by a killed process with the same pid is overwritten.
     """
+    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        raise OSError(errno.EINVAL, "not a regular file", path)
     tmp = f"{path}.{os.getpid()}.tmp"
     # an error from open or rename names the path given, not the temporary one
     try:
@@ -236,7 +238,7 @@ def _global_fcs_from(cfg: RepMLPConfig, tensors: dict) -> tuple:
 
 
 def train_weights_from_tensors(cfg: RepMLPConfig, tensors: dict[str, np.ndarray],
-                               eps: float = 1e-5) -> RepMLPTrainWeights:
+                               eps: float) -> RepMLPTrainWeights:
     def bn(prefix: str) -> BnParams:
         return _spec(tensors, prefix, BnParams, eps=eps)
 

@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, batch_default=2):
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--precision", choices=("f32", "f64"), default="f32")
+        p.add_argument("--precision", choices=DTYPES, default="f32")
         p.add_argument("--batch", type=int, default=batch_default)
 
     p = sub.add_parser("verify", help="run the train/infer equivalence grid")

@@ -11,7 +11,7 @@ Counting conventions: one multiply-accumulate = one FLOP, counted for conv
 and FC kernels only, per image (N = 1); inference BN is counted as fused
 (zero FLOPs; a train-form conv counts its BN's two affine vectors, which
 in deploy form become the conv bias); pooling, ReLU, and elementwise adds
-are free.
+are free. Conv and pool output sizes follow tensor._window_out.
 
 The hidden width of the per-tile global-path MLP is a calibration knob:
 published totals for this family pin every other dimension but not that
@@ -37,6 +37,7 @@ from .tensor import (
     ShapeError,
     _is_int,
     _require_ints,
+    _window_out,
     avg_pool_global,
     batchnorm_inference,
     conv2d,
@@ -102,9 +103,8 @@ def pool_layer(op: str, k: int = 1, stride: int = 1, pad: int = 0) -> LayerSpec:
     return _layer("pool", op=op, k=k, stride=stride, pad=pad)
 
 
-def repmlp_layer(cfg: RepMLPConfig, form: str = "train") -> LayerSpec:
-    kind = {"train": "repmlp_train", "infer": "repmlp_infer"}[form]
-    return _layer(kind, cfg=cfg)
+def repmlp_layer(cfg: RepMLPConfig) -> LayerSpec:
+    return _layer("repmlp_train", cfg=cfg)
 
 
 def add_layer(*branches: tuple) -> LayerSpec:
@@ -161,14 +161,6 @@ def block_flops(cfg: RepMLPConfig, form: str) -> int:
     return cfg.num_parts * per_tile
 
 
-def _window_out(kind: str, h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
-    """Output size of k x k windows over an (h, w) map padded by pad."""
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if k > min(hp, wp):
-        raise ShapeError(f"{kind} window {k} larger than padded map ({hp}, {wp})")
-    return (hp - k) // stride + 1, (wp - k) // stride + 1
-
-
 def _analyze(layers, shape) -> tuple[int, int, tuple]:
     params = 0
     flops = 0
@@ -182,7 +174,7 @@ def _analyze(layers, shape) -> tuple[int, int, tuple]:
             if c != in_ch:
                 raise ShapeError(f"conv expects {in_ch} channels, got {c}")
             k, s, p, g = (layer.attr(n) for n in ("k", "stride", "pad", "groups"))
-            ho, wo = _window_out("conv", h, w, k, s, p)
+            ho, wo = _window_out("conv", (h, w), (k, k), s, (p, p))
             weights = out_ch * (in_ch // g) * k * k
             params += weights + out_ch * (2 if layer.attr("bn") else 1)
             flops += weights * ho * wo
@@ -202,7 +194,7 @@ def _analyze(layers, shape) -> tuple[int, int, tuple]:
                 shape = ("map", c, 1, 1)
             else:
                 k, s, p = (layer.attr(n) for n in ("k", "stride", "pad"))
-                shape = ("map", c) + _window_out("pool", h, w, k, s, p)
+                shape = ("map", c) + _window_out("pool", (h, w), (k, k), s, (p, p))
         elif kind == "relu":
             pass
         elif kind == "flatten":
@@ -227,8 +219,6 @@ def _analyze(layers, shape) -> tuple[int, int, tuple]:
             if len(set(outs)) != 1:
                 raise ShapeError(f"add branches disagree on shape: {outs}")
             shape = outs[0]
-        else:
-            raise ShapeError(f"unknown layer kind {kind!r}")
     return params, flops, shape
 
 
@@ -252,7 +242,7 @@ def _convert_layers(layers: tuple) -> tuple:
         if layer.kind == "conv":
             out.append(_layer("conv", **dict(layer.attrs, bn=False)))
         elif layer.kind == "repmlp_train":
-            out.append(repmlp_layer(layer.attr("cfg"), "infer"))
+            out.append(_layer("repmlp_infer", cfg=layer.attr("cfg")))
         elif layer.kind == "add":
             out.append(add_layer(*(_convert_layers(b) for b in layer.children)))
         else:
@@ -317,7 +307,7 @@ def _max_pool(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """Max over each k x k window at the given stride, padded with the
     dtype's lowest finite value. The result starts as a copy of the first
     tap and takes one np.maximum per further tap, in (row, column) order."""
-    ho, wo = _window_out("max pool", x.shape[2], x.shape[3], k, stride, pad)
+    ho, wo = _window_out("max pool", x.shape[2:], (k, k), stride, (pad, pad))
     if pad:
         fill = np.finfo(x.dtype).min
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
@@ -359,8 +349,6 @@ def _run_layers(layers, weights, x):
                 y = _run_layers(branch, bw, x)
                 acc = y if acc is None else acc + y
             x = acc
-        else:
-            raise ShapeError(f"unknown layer kind {kind!r}")
     return x
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import tensor
-from .block import (RepMLPConfig, RepMLPTrainWeights, check_global_mlp, check_train_weights,
+from .block import (RepMLPConfig, RepMLPTrainWeights, check_fcs, check_train_weights,
                     global_perceptron, partition_perceptron)
 from .tensor import BnParams, ConvSpec, FcSpec, ShapeError, inverse_partition
 
@@ -49,9 +49,7 @@ class RepMLPInferWeights:
 def check_infer_weights(cfg: RepMLPConfig, w: RepMLPInferWeights) -> None:
     if w.fc3.bias is None:
         raise ShapeError("converted fc3 must carry a bias")
-    if (w.fc3.in_dim, w.fc3.out_dim, w.fc3.groups) != (cfg.fc_in_dim, cfg.fc_out_dim, cfg.groups):
-        raise ShapeError("converted fc3 dims do not match config")
-    check_global_mlp(cfg, w.fc1, w.fc2)
+    check_fcs(cfg, w.fc3, w.fc1, w.fc2)
 
 
 def fuse_bn_into_conv(spec: ConvSpec | FcSpec, bn: BnParams) -> ConvSpec | FcSpec:

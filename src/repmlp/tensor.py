@@ -5,7 +5,8 @@ Feature maps are dense 4-D numpy arrays in (N, C, H, W) layout, row-major,
 float32 or float64. Every operation is a pure function: inputs are never
 mutated and the output dtype always equals the input dtype. Convolution
 has zero padding and an integer stride and runs at its output stride: no
-output that is later discarded is computed.
+output that is later discarded is computed. _window_out, the one
+window-size rule, gives its output size and that of the models' pools.
 
 Convolution and the grouped FC run on one BLAS GEMM helper, _gemm, which
 takes the group count and multiplies row block j of the kernel by row
@@ -87,6 +88,17 @@ def check_feature_map(x: np.ndarray) -> None:
 def _same_dtype(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.dtype != b.dtype:
         raise ShapeError(f"{what}: dtype mismatch {a.dtype} vs {b.dtype}")
+
+
+def _window_out(kind: str, size: tuple[int, int], kernel: tuple[int, int], stride: int,
+                pad: tuple[int, int]) -> tuple[int, int]:
+    """Output (rows, columns) of kernel windows at stride over a map of the
+    given size zero-padded by pad: the one window-size rule. Raises
+    ShapeError unless the window fits the padded map."""
+    padded = (size[0] + 2 * pad[0], size[1] + 2 * pad[1])
+    if kernel[0] > padded[0] or kernel[1] > padded[1]:
+        raise ShapeError(f"{kind} window {kernel} larger than padded map {padded}")
+    return (padded[0] - kernel[0]) // stride + 1, (padded[1] - kernel[1]) // stride + 1
 
 
 @dataclass(frozen=True)
@@ -211,13 +223,10 @@ class BnParams:
     def num_features(self) -> int:
         return self.mean.shape[0]
 
-    def std(self) -> np.ndarray:
-        """Effective standard deviation sqrt(var + eps) in the param dtype."""
-        return np.sqrt(self.var + self.var.dtype.type(self.eps))
-
     def affine(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-channel (scale, shift) with BN(x) = scale * x + shift."""
-        scale = self.gamma / self.std()
+        """Per-channel (scale, shift) with BN(x) = scale * x + shift; scale is
+        gamma / sqrt(var + eps), each op rounded in the param dtype."""
+        scale = self.gamma / np.sqrt(self.var + self.var.dtype.type(self.eps))
         return scale, self.beta - self.mean * scale
 
 
@@ -294,9 +303,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     ph, pw = spec.padding
     s = spec.stride
     hp, wp = h + 2 * ph, w + 2 * pw
-    if kh > hp or kw > wp:
-        raise ShapeError(f"conv2d: kernel ({kh}, {kw}) larger than padded input ({hp}, {wp})")
-    ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
+    ho, wo = _window_out("conv2d", (h, w), (kh, kw), s, (ph, pw))
 
     xc = x.transpose(1, 0, 2, 3)
     if ph or pw:

@@ -208,6 +208,16 @@ def test_check_train_weights_rejections():
             fc3=biased_fc3, fc3_bn=good.fc3_bn, branches=good.branches,
             gp_bn=good.gp_bn, fc1=good.fc1, fc2=good.fc2))
 
+    # both forms refuse an fc3 in the wrong groups with one message
+    regrouped = FcSpec(good.fc3.kernel[:, :4], None, 2)
+    with pytest.raises(ShapeError, match=r"fc3 dims \(8 -> 8, g=2\)") as train_err:
+        check_train_weights(cfg, dataclasses.replace(good, fc3=regrouped))
+    infer = convert_block(cfg, good)
+    with pytest.raises(ShapeError) as infer_err:
+        check_infer_weights(cfg, dataclasses.replace(
+            infer, fc3=FcSpec(infer.fc3.kernel[:, :4], infer.fc3.bias, 2)))
+    assert str(infer_err.value) == str(train_err.value)
+
     conv, bn = good.branches[0]
     undeclared = ConvSpec(np.ones((2, 2, 3, 3)), None, (1, 1), 1)
     with pytest.raises(ShapeError):

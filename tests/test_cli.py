@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -199,14 +200,30 @@ def test_failed_save_names_the_given_path(tmp_path, capsys):
     # the save writes a temporary file beside the output and renames it;
     # when the file cannot be made (no such directory) or the rename fails
     # (a directory is in the way), the one-line error names the output path
-    # and no temporary file is left
-    (tmp_path / "dir").mkdir()
-    for out, errno in ((tmp_path / "missing" / "t.rmlp", 2), (tmp_path / "dir", 21)):
+    # and no temporary file is left. A FIFO, or a symlink to one, is refused
+    # before anything is written: the rename would replace it.
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    fifo, link = folder / "fifo", folder / "link"
+    os.mkfifo(fifo)
+    link.symlink_to(fifo)
+    for out, errno in ((tmp_path / "missing" / "t.rmlp", 2), (folder, 21), (fifo, 22),
+                       (link, 22)):
         code, stdout, err = run_cli(capsys, "init", "--config", CFG_TEXT, "--out", str(out))
         assert code == 2 and stdout == ""
         assert err.startswith(f"error: [Errno {errno}] ") and err.endswith(f": {str(out)!r}\n")
         assert len(err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == [tmp_path / "dir"]
+        assert list(tmp_path.iterdir()) == [folder]
+        assert sorted(folder.iterdir()) == [fifo, link]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.readlink(link) == str(fifo)
+    # a symlink to a regular file is replaced by the checkpoint, not written through
+    kept = folder / "kept"
+    kept.write_bytes(b"old")
+    link.unlink()
+    link.symlink_to(kept)
+    assert run_cli(capsys, "init", "--config", CFG_TEXT, "--out", str(link))[0] == 0
+    assert not link.is_symlink() and link.read_bytes()[:4] == MAGIC
+    assert kept.read_bytes() == b"old"
 
 
 def _malformed_checkpoint(path, case):

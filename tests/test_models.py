@@ -1,5 +1,7 @@
 """Model graphs: frozen accounting oracles, builders, executor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import walk_layers
@@ -7,6 +9,8 @@ from conftest import walk_layers
 from repmlp.block import RepMLPConfig
 from repmlp.models import (
     MODEL_BUILDERS,
+    RELU,
+    LayerSpec,
     Model,
     _analyze,
     block_flops,
@@ -209,7 +213,8 @@ def test_convert_graph_deploy_form():
     # deploy weights come only from the fold: a deploy conv and a deploy
     # block are both refused at init
     rng = np.random.default_rng(0)
-    block = Model("block", (4, 8, 8), (repmlp_layer(RepMLPConfig(4, 4, 8, 8, 4, 4), "infer"),))
+    block = convert_graph(Model("block", (4, 8, 8),
+                                (repmlp_layer(RepMLPConfig(4, 4, 8, 8, 4, 4)),)))
     for graph in (convert_graph(build_resnet50()), deploy, block):
         with pytest.raises(ShapeError, match="produced by conversion"):
             init_model_weights(graph, rng)
@@ -291,6 +296,12 @@ def test_counting_rejects_mismatched_graphs():
     bad2 = Model("bad2", (3, 8, 8), (fc_layer(10, 2),))
     with pytest.raises(ShapeError):
         count_flops(bad2)
+    # an unknown kind never reaches the graph walks: every record is refused
+    # when it is made, dataclasses.replace included
+    with pytest.raises(ShapeError, match="unknown layer kind"):
+        LayerSpec("bogus")
+    with pytest.raises(ShapeError, match="unknown layer kind"):
+        dataclasses.replace(RELU, kind="bogus")
 
 
 def test_build_named_model_registry():
