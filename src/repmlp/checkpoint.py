@@ -231,31 +231,25 @@ def _spec(tensors: dict[str, np.ndarray], prefix: str, cls, **fixed):
                            for f in dataclasses.fields(cls) if f.name not in fixed})
 
 
-def _global_fcs_from(cfg: RepMLPConfig, tensors: dict) -> tuple:
-    """(fc1, fc2) of either weight form; (None, None) without a global path."""
-    return tuple(_spec(tensors, name, FcSpec, groups=1) if cfg.has_global_path else None
-                 for name in ("fc1", "fc2"))
-
-
-def train_weights_from_tensors(cfg: RepMLPConfig, tensors: dict[str, np.ndarray],
-                               eps: float) -> RepMLPTrainWeights:
+def weights_from_tensors(cfg: RepMLPConfig, form: str, tensors: dict[str, np.ndarray],
+                         eps: float) -> RepMLPTrainWeights | RepMLPInferWeights:
+    """The weights of the given form, their tensors read by name; a train
+    block's BNs all take eps."""
     def bn(prefix: str) -> BnParams:
         return _spec(tensors, prefix, BnParams, eps=eps)
 
+    train = form == FORM_TRAIN
     branches = tuple((_spec(tensors, f"branch{k}", ConvSpec, bias=None, padding=(k // 2, k // 2),
                             groups=cfg.groups, stride=1), bn(f"branch{k}.bn"))
-                     for k in cfg.branch_kernels)
-    fc1, fc2 = _global_fcs_from(cfg, tensors)
+                     for k in cfg.branch_kernels) if train else ()
+    fc1, fc2 = (_spec(tensors, name, FcSpec, groups=1) if cfg.has_global_path else None
+                for name in ("fc1", "fc2"))
+    if not train:
+        return RepMLPInferWeights(fc3=_spec(tensors, "fc3", FcSpec, groups=cfg.groups),
+                                  fc1=fc1, fc2=fc2)
     return RepMLPTrainWeights(fc3=_spec(tensors, "fc3", FcSpec, bias=None, groups=cfg.groups),
                               fc3_bn=bn("fc3_bn"), branches=branches,
                               gp_bn=bn("gp_bn") if cfg.has_global_path else None,
-                              fc1=fc1, fc2=fc2)
-
-
-def infer_weights_from_tensors(cfg: RepMLPConfig,
-                               tensors: dict[str, np.ndarray]) -> RepMLPInferWeights:
-    fc1, fc2 = _global_fcs_from(cfg, tensors)
-    return RepMLPInferWeights(fc3=_spec(tensors, "fc3", FcSpec, groups=cfg.groups),
                               fc1=fc1, fc2=fc2)
 
 
@@ -292,14 +286,10 @@ def load_block_checkpoint(path: str):
     config, tensors = load_checkpoint(path)
     try:
         cfg, form = config_from_record(config), config["form"]
-        if form == FORM_TRAIN:
-            weights = train_weights_from_tensors(cfg, tensors, float(config["bn_eps"]))
-            check_train_weights(cfg, weights)
-        elif form == FORM_INFER:
-            weights = infer_weights_from_tensors(cfg, tensors)
-            check_infer_weights(cfg, weights)
-        else:
+        if form not in (FORM_TRAIN, FORM_INFER):
             raise CheckpointError(f"unknown weight form {form!r}")
+        weights = weights_from_tensors(cfg, form, tensors, float(config["bn_eps"]))
+        (check_train_weights if form == FORM_TRAIN else check_infer_weights)(cfg, weights)
     except ShapeError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     extra = sorted(tensors.keys() - weights_to_tensors(weights).keys())

@@ -14,7 +14,8 @@ tilewise FC kernel:
   zero-padded to (2h-1, 2w-1). The fold lays that padded kernel out as
   window planes, one (2h-1, w) plane per tile column, so that each (i, j)
   block of the view is one contiguous h*w run, and adds the view straight
-  into fc3, one slab of output channels at a time;
+  into fc3, one slab of output channels at a time. conv_to_fc, the FC of
+  one conv alone, is that fold run on a block whose only branch is the conv;
 * the BN in front of the global-path MLP is absorbed into FC1, which is a
   composition of two affine maps.
 
@@ -86,25 +87,23 @@ def absorb_bn_into_fc1(bn: BnParams, fc1: FcSpec) -> FcSpec:
 
 
 def _plane_band(kernel: np.ndarray, part_h: int, part_w: int) -> tuple[slice, np.ndarray]:
-    """The plane rows a resolution-preserving conv kernel covers, and their
-    values as a strided view of dims (O, C/g, w, rows, w).
+    """The plane rows a resolution-preserving K x K conv kernel covers, and
+    their values as a strided view of dims (O, C/g, w, K, w).
 
     The kernel is zero-padded into q of dims (O, C/g, 2h-1, 2w-1), centred at
     (h-1, w-1); the window planes of q (see _window_view) are
-    planes[o, c, b, r, j] = q[o, c, r, w-1-b+j]. Only rows h-1-dh ... h-1+dh
-    of q hold taps, so only those rows are built and returned; the caller
-    keeps every other plane row at +0.0. Taps further than h-1 rows or w-1
-    columns from the centre can never land in a tile, so they are cropped.
+    planes[o, c, b, r, j] = q[o, c, r, w-1-b+j]. Only rows h-1-K//2 ...
+    h-1+K//2 of q hold taps, so only those rows are built and returned; the
+    caller keeps every other plane row at +0.0.
     """
-    o, cg, kh, kw = kernel.shape
-    ph, pw = kh // 2, kw // 2
-    dh, dw = min(ph, part_h - 1), min(pw, part_w - 1)
-    q = np.zeros((o, cg, 2 * dh + 1, 2 * part_w - 1), dtype=kernel.dtype)
-    q[:, :, :, part_w - 1 - dw:part_w + dw] = kernel[:, :, ph - dh:ph + dh + 1, pw - dw:pw + dw + 1]
+    o, cg, k, _ = kernel.shape
+    p = k // 2
+    q = np.zeros((o, cg, k, 2 * part_w - 1), dtype=kernel.dtype)
+    q[:, :, :, part_w - 1 - p:part_w + p] = kernel
     s0, s1, s2, s3 = q.strides
-    band = as_strided(q[:, :, :, part_w - 1:], (o, cg, part_w, 2 * dh + 1, part_w),
+    band = as_strided(q[:, :, :, part_w - 1:], (o, cg, part_w, k, part_w),
                       (s0, s1, -s3, s2, s3), writeable=False)
-    return slice(part_h - 1 - dh, part_h + dh), band
+    return slice(part_h - 1 - p, part_h + p), band
 
 
 def _window_view(planes: np.ndarray, part_h: int) -> np.ndarray:
@@ -125,38 +124,27 @@ def _window_view(planes: np.ndarray, part_h: int) -> np.ndarray:
 
 
 def conv_to_fc(conv: ConvSpec, in_channels: int, part_h: int, part_w: int) -> FcSpec:
-    """Build the FC kernel equivalent to a resolution-preserving grouped conv
-    acting on (C, part_h, part_w) tiles flattened row-major.
-
-    Column r of the result is the flattened conv response to a probe image
-    whose r-th within-group position is 1 in every group and 0 elsewhere
-    (output group j only sees input group j, so one probe serves all groups
-    at once; stacking the C*h*w/g probe responses and transposing gives the
-    grouped FC kernel of dims (O*h*w, C*h*w/g)). Because each probe is
-    one-hot per group, every response value is a single kernel tap, so the
-    matrix is assembled by direct placement instead of running the probes:
-    entry [(o, a, b), (c, i, j)] is kernel[o, c, i - a + ph, j - b + pw]
-    when that offset lands inside the window, else zero. The kernel is one
-    copy of the strided window view that convert_block adds into fc3, read
-    from window planes of all output channels at once. A conv bias,
-    constant over tile positions, is replicated part_h*part_w times.
+    """The grouped FC equal to a resolution-preserving conv on (C, part_h,
+    part_w) tiles flattened row-major, built by convert_block from a one-tile
+    block whose only branch is the conv, so the conv must be a branch that
+    block accepts. Its BNs have mean 0, var 0.75, gamma 1, beta 0 and eps
+    0.25: var + eps is exactly 1, so the scale is 1 and the shift 0. Its fc3
+    is filled with -0.0, the additive identity. A conv bias is replicated
+    part_h*part_w times. No library code calls this; it is kept because the
+    benchmark's tracer wraps it by name.
     """
-    g = conv.groups
-    o = conv.out_channels
-    if conv.in_channels != in_channels:
-        raise ShapeError(f"conv expects {conv.in_channels} channels, got {in_channels}")
-    kh, kw = conv.kernel_size
-    if conv.padding != (kh // 2, kw // 2) or conv.stride != 1:
-        raise ShapeError("conv_to_fc requires resolution-preserving padding K // 2 and stride 1")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError("conv_to_fc requires odd kernel sizes")
-    rows, band = _plane_band(conv.kernel, part_h, part_w)
-    planes = np.zeros((o, in_channels // g, part_w, 2 * part_h - 1, part_w), conv.kernel.dtype)
-    planes[:, :, :, rows] = band
-    grid = np.ascontiguousarray(_window_view(planes, part_h))
-    kernel = grid.reshape(o * part_h * part_w, in_channels // g * part_h * part_w)
+    o, g, dt = conv.out_channels, conv.groups, conv.kernel.dtype
+    cfg = RepMLPConfig(in_channels, o, part_h, part_w, part_h, part_w, g, (conv.kernel_size[0],))
+
+    def unit(n: int) -> BnParams:
+        zero = np.zeros(n, dt)
+        return BnParams(zero, zero + 0.75, zero + 1, zero, eps=0.25)
+
+    fc3 = FcSpec(np.full((cfg.fc_out_dim, cfg.fc_in_dim // g), -0.0, dt), None, g)
+    branches = ((replace(conv, bias=None), unit(o)),)
+    fc = convert_block(cfg, RepMLPTrainWeights(fc3, unit(cfg.fc_out_dim), branches)).fc3
     bias = None if conv.bias is None else np.repeat(conv.bias, part_h * part_w)
-    return FcSpec(kernel=kernel, bias=bias, groups=g)
+    return replace(fc, bias=bias)
 
 
 def convert_block(cfg: RepMLPConfig, w: RepMLPTrainWeights) -> RepMLPInferWeights:

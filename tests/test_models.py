@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import walk_layers
+from conftest import dyadic, dyadic_bn, dyadic_block_weights, fix_tile_sums, walk_layers
 
 from repmlp.block import RepMLPConfig
 from repmlp.models import (
@@ -13,6 +13,7 @@ from repmlp.models import (
     LayerSpec,
     Model,
     _analyze,
+    _run_layers,
     block_flops,
     block_params,
     build_named_model,
@@ -30,7 +31,7 @@ from repmlp.models import (
     repmlp_layer,
     run_model,
 )
-from repmlp.tensor import ShapeError
+from repmlp.tensor import ConvSpec, FcSpec, ShapeError
 
 
 def shape_of(model):
@@ -254,6 +255,77 @@ def test_forward_wide_convnet_and_residual_adds():
     deploy = convert_graph(tiny)
     yd = run_model(deploy, convert_model_weights(tiny, tw), xt)
     np.testing.assert_allclose(yd, yt, atol=1e-10, rtol=0)
+
+
+def dyadic_model_weights(layers, rng):
+    """Train-form weights for every layer of a graph, each array dyadic as
+    conftest.dyadic draws it (blocks as dyadic_block_weights)."""
+    weights = []
+    for layer in layers:
+        if layer.kind == "conv":
+            i, o, k, p, g = (layer.attr(n) for n in ("in_ch", "out_ch", "k", "pad", "groups"))
+            conv = ConvSpec(dyadic(rng, (o, i // g, k, k)), None, (p, p), g, layer.attr("stride"))
+            weights.append((conv, dyadic_bn(rng, o)))
+        elif layer.kind == "fc":
+            d_in, d_out = layer.attr("in_dim"), layer.attr("out_dim")
+            weights.append(FcSpec(dyadic(rng, (d_out, d_in)), dyadic(rng, d_out), 1))
+        elif layer.kind == "repmlp_train":
+            weights.append(dyadic_block_weights(layer.attr("cfg"), rng))
+        elif layer.kind == "add":
+            weights.append(tuple(dyadic_model_weights(b, rng) for b in layer.children))
+        else:
+            weights.append(None)
+    return weights
+
+
+def requantize(y):
+    """One fixed map of every float onto j/8, j an integer in [-4, 3]; it
+    reads ten fraction bits, so small outputs do not all map to one j."""
+    return ((y * 1024).astype(np.int64) % 8 - 4) / 8
+
+
+def lockstep(train, deploy, train_w, deploy_w, x, path, seen):
+    """Step both forms of a graph one layer at a time from the same input.
+
+    Each conv and block, the layers conversion rewrites, runs in both forms
+    and appends (path, kind, outputs bit-equal) to seen; the other layers
+    are one op on one input in both forms. The next layer reads the train
+    output requantized, so every conv, FC and block input is dyadic, and a
+    block input also gets its tile sums fixed. An add steps each branch
+    from its input and sums the branch outputs."""
+    for i, (tl, dl, tw, dw) in enumerate(zip(train, deploy, train_w, deploy_w)):
+        if tl.kind == "add":
+            y = sum(lockstep(tb, db, tbw, dbw, x, f"{path}{i}.{j}.", seen)
+                    for j, (tb, db, tbw, dbw) in enumerate(zip(tl.children, dl.children, tw, dw)))
+        else:
+            if tl.kind == "repmlp_train":
+                x = fix_tile_sums(x * 8, tl.attr("cfg"))
+            y = _run_layers((tl,), [tw], x)
+            if tl.kind in ("conv", "repmlp_train"):
+                seen.append((f"{path}{i}", tl.kind,
+                             np.array_equal(y, _run_layers((dl,), [dw], x))))
+        x = requantize(y)
+    return x
+
+
+@pytest.mark.parametrize("name, res", [("resnet50", 32), ("wide-convnet", 32),
+                                       ("pure-mlp-cifar", 32), ("repmlp-res50", 224)])
+def test_model_forms_agree_layer_by_layer_exactly(name, res):
+    # f64 on dyadic draws: no conv, FC or block of either form rounds (see
+    # test_reparam.exact_cell), so the deploy form must give the train
+    # form's bits after every conv and every block, strided convs and
+    # residual branches too
+    model = build_named_model(name, res)
+    deploy = convert_graph(model)
+    rng = np.random.default_rng(7)
+    weights = dyadic_model_weights(model.layers, rng)
+    deploy_weights = convert_model_weights(model, weights)
+    seen = []
+    lockstep(model.layers, deploy.layers, weights, deploy_weights,
+             dyadic(rng, (1,) + model.input_shape), "", seen)
+    kinds = [layer.kind for layer in walk_layers(model.layers)]
+    assert len(seen) == kinds.count("conv") + kinds.count("repmlp_train") > 0
+    assert [(p, kind) for p, kind, equal in seen if not equal] == []
 
 
 def test_max_pool_matches_manual_windows():

@@ -7,9 +7,9 @@ import pstats
 
 import numpy as np
 import pytest
-from conftest import walk_layers
+from conftest import dyadic_block_weights, fix_tile_sums, walk_layers
 
-from repmlp.block import RepMLPConfig, RepMLPTrainWeights, forward_train, random_train_weights
+from repmlp.block import RepMLPConfig, forward_train, random_train_weights
 from repmlp.checkpoint import load_block_checkpoint, save_infer_checkpoint
 from repmlp.models import MODEL_BUILDERS
 from repmlp.reparam import (
@@ -137,11 +137,14 @@ def test_conv_to_fc_rejects_stride():
         conv_to_fc(conv, 1, 4, 4)
 
 
-def test_conv_to_fc_all_ones_3x3_covers_2x2_tile():
-    # every input pixel of a 2x2 tile lies in every output pixel's 3x3 window
+def test_conv_to_fc_refuses_kernel_larger_than_tile():
+    # a block refuses a branch kernel wider than its tile, and conv_to_fc is
+    # the fold of a one-branch block: a 3x3 conv on a 2x2 tile does not fold
     conv = ConvSpec(np.ones((1, 1, 3, 3)), None, (1, 1), 1)
-    fc = conv_to_fc(conv, 1, 2, 2)
-    np.testing.assert_array_equal(fc.kernel, np.ones((4, 4)))
+    with pytest.raises(ShapeError, match="exceeds tile size"):
+        conv_to_fc(conv, 1, 2, 2)
+    with pytest.raises(ShapeError, match="exceeds tile size"):
+        conv_to_fc(conv, 1, 2, 5)
 
 
 def test_conv_to_fc_all_ones_3x3_window_membership():
@@ -175,12 +178,13 @@ def test_conv_to_fc_equals_probe_stack():
     # direct placement must reproduce the probe construction entry for entry
     rng = np.random.default_rng(11)
     cases = [
-        (1, 1, 1, 3, 2, 2),   # window covers the whole padded tile
+        (1, 1, 1, 3, 3, 3),   # kernel as large as the tile
         (2, 2, 1, 3, 4, 4),
         (4, 6, 2, 3, 4, 5),
-        (4, 4, 4, 5, 3, 3),   # kernel larger than the tile
+        (4, 4, 4, 5, 5, 7),   # kernel as tall as the tile
         (6, 4, 2, 1, 7, 7),
-        (3, 3, 3, 7, 5, 6),
+        (3, 3, 3, 7, 8, 7),   # kernel as wide as the tile
+        (64, 64, 8, 5, 7, 7),  # the 5x5 branch of repmlp-res50's c3 block
     ]
     for c, o, g, k, h, w in cases:
         conv = ConvSpec(rng.normal(size=(o, c // g, k, k)), None,
@@ -208,22 +212,22 @@ def conv_to_fc_scatter(kernel, groups, in_channels, part_h, part_w):
 
 
 def test_conv_to_fc_bytes_equal_tap_scatter_oracle():
-    # signed zeros, kernels larger than the tile, non-square kernels and tiles
+    # signed zeros, square kernels up to the tile size, non-square tiles
     rng = np.random.default_rng(21)
     for dtype in (np.float32, np.float64):
         for _ in range(60):
             g = int(rng.choice([1, 2, 3]))
             c, o = g * int(rng.integers(1, 4)), g * int(rng.integers(1, 4))
-            kh, kw = (int(k) for k in rng.choice([1, 3, 5, 7], size=2))
             h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-            kernel = rng.uniform(-1, 1, (o, c // g, kh, kw)).astype(dtype)
+            k = int(rng.choice([k for k in (1, 3, 5, 7) if k <= min(h, w)]))
+            kernel = rng.uniform(-1, 1, (o, c // g, k, k)).astype(dtype)
             kernel[rng.random(kernel.shape) < 0.2] = 0.0
             kernel[rng.random(kernel.shape) < 0.2] = -0.0
-            conv = ConvSpec(kernel, None, (kh // 2, kw // 2), g)
+            conv = ConvSpec(kernel, None, (k // 2, k // 2), g)
             got = conv_to_fc(conv, c, h, w).kernel
             want = conv_to_fc_scatter(kernel, g, c, h, w)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
-            assert got.tobytes() == want.tobytes(), (c, o, g, kh, kw, h, w)
+            assert got.tobytes() == want.tobytes(), (c, o, g, k, h, w)
 
 
 def test_conv_to_fc_columns_are_impulse_responses():
@@ -269,6 +273,8 @@ def test_conv_to_fc_preconditions():
         conv_to_fc(ConvSpec(np.ones((1, 1, 3, 3)), None, (0, 0), 1), 1, 4, 4)
     with pytest.raises(ShapeError):   # channel mismatch
         conv_to_fc(ConvSpec(np.ones((1, 2, 1, 1)), None, (0, 0), 1), 1, 3, 3)
+    with pytest.raises(ShapeError, match="square"):   # a block branch is square
+        conv_to_fc(ConvSpec(np.ones((1, 1, 1, 3)), None, (0, 1), 1), 1, 3, 3)
 
 
 def test_convert_block_identity_bns_keep_fc3():
@@ -327,7 +333,7 @@ def sequential_grid_sum(cfg, w):
 
 
 # fc3 and branch kernels with planted +0.0 and -0.0 entries: one tile and
-# several, kernels smaller and larger than the tile, with and without a 1x1
+# several, kernels smaller than and as large as the tile, with and without a 1x1
 SIGNED_ZERO_CONFIGS = (
     RepMLPConfig(2, 2, 6, 4, 3, 2, branch_kernels=(1,)),
     RepMLPConfig(4, 4, 12, 10, 6, 5, groups=2, branch_kernels=(3, 5)),
@@ -588,7 +594,6 @@ def test_quick_grid_covers_every_partition_multiplier():
     assert len(quick) == 64
 
 
-EXACT_EPS = 2.0 ** -17
 FRAC_BITS = 20
 
 
@@ -600,10 +605,11 @@ def exact_cell(cfg, seed, batch=2):
     var = 4^k - 2^-17 (k = 0 or 1) and eps = 2^-17: var + eps is exactly 1
     or 4, so std is 1 or 2, the BN scale gamma/std is a multiple of 2^-4
     with |scale| <= 1/2, and the shift beta - mean * scale a multiple of
-    2^-7 with |shift| <= 3/4. One pixel per (image, channel, tile) then
-    moves by less than h*w/8 so that the tile sum is a multiple of h*w/8:
-    every tile mean, the global path's average pool, is a multiple of 2^-3
-    and exact, and no input value exceeds X = 1/2 + (h*w - 1)/8 in magnitude.
+    2^-7 with |shift| <= 3/4 (see conftest.dyadic_bn). One pixel per
+    (image, channel, tile) then moves by less than h*w/8 so that the tile
+    sum is a multiple of h*w/8: every tile mean, the global path's average
+    pool, is a multiple of 2^-3 and exact, and no input value exceeds
+    X = 1/2 + (h*w - 1)/8 in magnitude.
 
     Bit budget. Along the deepest path of either form, the powers of two
     that every value is a multiple of are: input and pooled tile 2^-3; BN
@@ -618,30 +624,10 @@ def exact_cell(cfg, seed, batch=2):
     bit, on any host.
     """
     rng = np.random.default_rng(seed)
-
-    def dyadic(shape):
-        return rng.integers(-4, 5, shape) / 8.0
-
-    def spec(s):
-        return dataclasses.replace(s, kernel=dyadic(s.kernel.shape),
-                                   bias=None if s.bias is None else dyadic(s.bias.shape))
-
-    def bn(n):
-        var = 4.0 ** rng.integers(0, 2, n) - EXACT_EPS
-        return BnParams(dyadic(n), var, dyadic(n), dyadic(n), eps=EXACT_EPS)
-
-    w = random_train_weights(cfg, rng, np.float64)
-    gp = cfg.has_global_path
-    w = RepMLPTrainWeights(
-        fc3=spec(w.fc3), fc3_bn=bn(cfg.fc_out_dim),
-        branches=tuple((spec(conv), bn(cfg.out_channels)) for conv, _ in w.branches),
-        gp_bn=bn(cfg.in_channels) if gp else None,
-        fc1=spec(w.fc1) if gp else None, fc2=spec(w.fc2) if gp else None)
+    random_train_weights(cfg, rng, np.float64)  # the pinned digests draw after it
+    w = dyadic_block_weights(cfg, rng)
     ints = rng.integers(-4, 5, (batch, cfg.in_channels, cfg.height, cfg.width))
-    h, wd = cfg.part_h, cfg.part_w
-    tiles = ints.reshape(batch, cfg.in_channels, cfg.parts_h, h, cfg.parts_w, wd)
-    tiles[:, :, :, 0, :, 0] -= tiles.sum(axis=(3, 5)) % (h * wd)
-    return w, ints / 8.0
+    return w, fix_tile_sums(ints, cfg)
 
 
 def magnitude_bound(cfg):
