@@ -5,13 +5,19 @@ input from a seed derived from the base seed and the config string, run
 the training-form forward, convert, run the collapsed forward, and record
 the max absolute difference. Reports carry no timings and are rendered in
 grid order, so a (grid, seed, dtype, tolerance) quadruple always produces
-byte-identical text. Cells run one after another in one thread.
+byte-identical text. A cell's draw depends only on its config and the
+seed, so the cells are independent: a sweep of more than one cell runs them
+in forked worker processes, one per CPU the process may use, and takes the
+results back in grid order, so the worker count never changes the report.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -35,8 +41,10 @@ _CONFIG_FIELDS = (("C", "in_channels"), ("O", "out_channels"), ("H", "height"),
 
 
 def thread_count() -> int:
-    """1: the sweep runs in one thread, and no environment variable changes
-    that. Kept only for benchmark environment records that still report it.
+    """1: each process of a sweep runs its cells in one thread (a sweep of
+    more than one cell runs them in worker processes, see run_equivalence),
+    and no environment variable changes that. Kept only for benchmark
+    environment records that still report it.
     """
     return 1
 
@@ -168,7 +176,24 @@ def run_equivalence(configs, base_seed: int, precision: str, tolerance: float | 
     tol = DEFAULT_TOLERANCES[precision] if tolerance is None else float(tolerance)
     if not tol >= 0:
         raise ShapeError("tolerance must be >= 0")
-    results = [check_cell(cfg, base_seed, dtype, tol, batch) for cfg in configs]
+    configs = tuple(configs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(configs), cpus)
+    if workers <= 1:
+        results = [check_cell(cfg, base_seed, dtype, tol, batch) for cfg in configs]
+    else:
+        # imported here: they add about 2 MB to every process, and most never fork
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker imports numpy and repmlp afresh,
+        # which took most of the default grid's gain, and reruns an unguarded
+        # __main__. A dead worker raises BrokenProcessPool (multiprocessing.Pool
+        # would hang). The chunk size is Pool's default, four chunks per worker
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(check_cell, configs, repeat(base_seed), repeat(dtype),
+                                    repeat(tol), repeat(batch),
+                                    chunksize=math.ceil(len(configs) / (4 * workers))))
 
     lines = [f"equivalence precision={precision} tol={tol:.3e} seed={base_seed} "
              f"batch={batch} configs={len(results)}"]

@@ -1,7 +1,9 @@
 """Command line: exit codes, output contracts, and end-to-end flows."""
 
+import multiprocessing
 import os
 import shutil
+import signal
 import stat
 import struct
 import subprocess
@@ -24,7 +26,8 @@ from repmlp.checkpoint import (
 )
 from repmlp.cli import build_parser, main
 from repmlp.reparam import forward_infer
-from repmlp.verify import format_config, parse_config
+from repmlp.tensor import ShapeError
+from repmlp.verify import build_grid, format_config, parse_config, run_equivalence
 
 CFG_TEXT = "C=4,O=4,H=8,W=8,h=4,w=4,g=2,ks=1-3"
 
@@ -116,6 +119,62 @@ def test_out_of_memory_is_usage_error(monkeypatch, capsys, exc):
     code, out, err = run_cli(capsys, "verify", "--config", CFG_TEXT, "--batch", "100000000")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: "), err
+
+
+# The worker-pool tests patch verify.check_cell before the sweep forks. The
+# patched functions live at module level, because the pool pickles the cell
+# function by name; they act only in a worker, never in the test process.
+TEST_PID = os.getpid()
+POISONED_CELL = format_config(build_grid("quick")[37])
+real_check_cell = repmlp.verify.check_cell
+
+
+def check_cell_raising(cfg, *args):
+    if format_config(cfg) == POISONED_CELL and os.getpid() != TEST_PID:
+        raise ShapeError(f"poisoned cell {POISONED_CELL}")
+    return real_check_cell(cfg, *args)
+
+
+def check_cell_killed(cfg, *args):
+    if format_config(cfg) == POISONED_CELL and os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_check_cell(cfg, *args)
+
+
+def test_worker_count_does_not_change_the_report(monkeypatch):
+    grid = build_grid("default")
+    for precision in ("f32", "f64"):
+        reports = []
+        # three workers, so chunks end ragged, and one, the in-process loop
+        for cpus in ({0, 1, 2}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            reports.append(run_equivalence(grid, 1, precision))
+        assert reports[0] == reports[1], precision
+        assert reports[0][1] and f"configs={len(grid)}" in reports[0][0]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exception_keeps_its_type(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(repmlp.verify, "check_cell", check_cell_raising)
+    with pytest.raises(ShapeError, match="poisoned cell"):
+        run_equivalence(build_grid("quick"), 1, "f32")
+    code, out, err = run_cli(capsys, "verify", "--grid", "quick")
+    assert code == 2 and out == ""
+    assert err == f"error: poisoned cell {POISONED_CELL}\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_is_usage_error(monkeypatch, capfd):
+    # capfd, not capsys: it also holds whatever the workers write to fd 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(repmlp.verify, "check_cell", check_cell_killed)
+    code = main(["verify", "--grid", "quick"])
+    out, err = capfd.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: a verify worker process died"), err
+    assert multiprocessing.active_children() == []
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
