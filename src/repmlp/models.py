@@ -1,4 +1,4 @@
-"""Model graphs: builders, parameter/FLOP accounting, and a small executor.
+"""Model graphs: builders, parameter/FLOP accounting, and an executor.
 
 Graphs are flat sequences of LayerSpec records; residual blocks are an
 ``add`` layer whose children are branch sequences applied to the same
@@ -6,6 +6,11 @@ input (an empty branch is the identity shortcut). Builders emit training
 form graphs (each conv record carries its BN: a bias-free conv followed by
 that BN; blocks in train form); convert_graph produces the deployed
 counterpart (BN folded into conv biases, blocks collapsed to their FC form).
+
+The executor, run_model, walks a graph layer by layer. It cuts a batch of
+two or more images into one contiguous slice per usable CPU and runs the
+slices in threads at the same time; since every kernel is batch-split
+invariant, the output bytes do not depend on the number of threads.
 
 Counting conventions: one multiply-accumulate = one FLOP, counted for conv
 and FC kernels only, per image (N = 1); inference BN is counted as fused
@@ -42,6 +47,7 @@ from .tensor import (
     batchnorm_inference,
     conv2d,
     grouped_fc,
+    usable_cpus,
 )
 
 LAYER_KINDS = ("conv", "fc", "pool", "relu", "flatten", "add",
@@ -353,8 +359,38 @@ def _run_layers(layers, weights, x):
 
 
 def run_model(model: Model, weights: list, x: np.ndarray) -> np.ndarray:
-    """Execute a graph of either form on a batch; returns its last layer's output."""
-    return _run_layers(model.layers, weights, x)
+    """Execute a graph of either form on a batch; returns its last layer's output.
+
+    A 4-D batch of N >= 2 images runs in min(N, usable_cpus()) contiguous
+    slices at the same time, cut at N * i // slices: the caller's thread
+    runs the first, a thread pool the others, and the outputs are joined
+    in batch order. Every kernel is batch-split invariant (see tensor), so
+    the output bytes do not depend on the slice count. Each slice runs
+    under the caller's numpy floating-point error settings, and an
+    exception raised in any slice reaches the caller. Any other input, or
+    one CPU, runs in line.
+    """
+    n = x.shape[0] if isinstance(x, np.ndarray) and x.ndim == 4 else 0
+    slices = min(n, usable_cpus())
+    if slices <= 1:
+        return _run_layers(model.layers, weights, x)
+    # imported here, like verify's process pool: the import took about 6.5 ms
+    # on a 2-vCPU Xeon, and most processes that load repmlp never split a batch
+    from concurrent.futures import ThreadPoolExecutor
+
+    # a new thread starts with numpy's default error settings
+    err, errcall = np.geterr(), np.geterrcall()
+
+    def run_slice(part):
+        with np.errstate(call=errcall, **err):
+            return _run_layers(model.layers, weights, part)
+
+    parts = [x[n * i // slices:n * (i + 1) // slices] for i in range(slices)]
+    with ThreadPoolExecutor(slices - 1) as pool:
+        futures = [pool.submit(run_slice, part) for part in parts[1:]]
+        outs = [_run_layers(model.layers, weights, parts[0])]
+        outs += [f.result() for f in futures]
+    return np.concatenate(outs)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,14 @@ n = KC + ceil(log2(ceil(K / KC))), where a single BLAS chain would allow
 n = K. Results are bitwise identical under any split of the batch
 dimension, the conv's slabs included, if BLAS gives a column the same
 bytes at every call width that is a multiple of TILE (the tests check it
-on each host). BLAS picks its kernels by CPU, so the bytes are those of
-one host and BLAS build.
+on each host). models.run_model relies on this: it runs the slices of a
+batch in threads and joins their outputs. BLAS picks its kernels by CPU,
+so the bytes are those of one host and BLAS build.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,12 @@ SLAB_BYTES = 1 << 20
 
 class ShapeError(ValueError):
     """Raised when array shapes, dtypes, groups, or sizes do not line up."""
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: the size of its affinity
+    set where the platform reports one, else 1."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _is_int(value) -> bool:

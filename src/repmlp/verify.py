@@ -14,7 +14,6 @@ results back in grid order, so the worker count never changes the report.
 from __future__ import annotations
 
 import math
-import os
 import zlib
 from dataclasses import dataclass
 from itertools import repeat
@@ -24,7 +23,7 @@ import numpy as np
 from .block import (RepMLPConfig, RepMLPTrainWeights, _uniform, forward_train,
                     random_train_weights)
 from .reparam import convert_block, forward_infer
-from .tensor import ShapeError
+from .tensor import ShapeError, usable_cpus
 
 DEFAULT_TOLERANCES = {"f32": 1e-4, "f64": 1e-9}
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -177,8 +176,7 @@ def run_equivalence(configs, base_seed: int, precision: str, tolerance: float | 
     if not tol >= 0:
         raise ShapeError("tolerance must be >= 0")
     configs = tuple(configs)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(configs), cpus)
+    workers = min(len(configs), usable_cpus())
     if workers <= 1:
         results = [check_cell(cfg, base_seed, dtype, tol, batch) for cfg in configs]
     else:

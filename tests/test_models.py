@@ -1,6 +1,9 @@
 """Model graphs: frozen accounting oracles, builders, executor."""
 
+import concurrent.futures
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from repmlp.models import (
     Model,
     _analyze,
     _run_layers,
+    add_layer,
     block_flops,
     block_params,
     build_named_model,
@@ -255,6 +259,94 @@ def test_forward_wide_convnet_and_residual_adds():
     deploy = convert_graph(tiny)
     yd = run_model(deploy, convert_model_weights(tiny, tw), xt)
     np.testing.assert_allclose(yd, yt, atol=1e-10, rtol=0)
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the library see cpus as the process's affinity set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_thread_count_does_not_change_model_outputs(monkeypatch, name):
+    # one thread runs the batch in line; two and three cut it into ragged
+    # slices (3 -> 1+2 and 1+1+1, 5 -> 2+3 and 1+2+2). The RepMLP ResNets
+    # take no resolution below 224: their block stages need maps that
+    # their 7x7 tiles divide
+    model = build_named_model(name, 224 if name.startswith("repmlp") else 32)
+    rng = np.random.default_rng(28)
+    weights = init_model_weights(model, rng)
+    forms = {"train": (model, weights),
+             "deploy": (convert_graph(model), convert_model_weights(model, weights))}
+    for batch in (3, 5):
+        x = rng.uniform(-1, 1, (batch,) + model.input_shape).astype(np.float32)
+        for form, (graph, w) in forms.items():
+            outputs = []
+            for cpus in ({0}, {0, 1}, {0, 1, 2}):
+                use_cpus(monkeypatch, cpus)
+                outputs.append(run_model(graph, w, x).tobytes())
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], (batch, form)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0, 1, 2}])
+def test_error_in_a_worker_slice_keeps_its_type(monkeypatch, cpus):
+    from repmlp import models
+    model = build_wide_convnet()
+    weights = init_model_weights(model, np.random.default_rng(28))
+    x = np.zeros((5,) + model.input_shape, np.float32)
+    first = 5 // len(cpus)
+    real_conv2d = models.conv2d
+
+    def conv2d_failing_off_the_first_slice(x, spec):
+        if x.shape[0] != first:
+            raise ShapeError("poisoned slice")
+        return real_conv2d(x, spec)
+
+    monkeypatch.setattr(models, "conv2d", conv2d_failing_off_the_first_slice)
+    use_cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    with pytest.raises(ShapeError, match="^poisoned slice$"):
+        run_model(model, weights, x)
+    assert threading.active_count() == before
+
+
+def test_short_batches_and_non_arrays_run_in_line(monkeypatch):
+    pools = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    use_cpus(monkeypatch, {0, 1, 2})
+    model = build_wide_convnet()
+    weights = init_model_weights(model, np.random.default_rng(28))
+    x = np.zeros((2,) + model.input_shape, np.float32)
+    before = threading.active_count()
+    assert run_model(model, weights, x[:0]).shape == (0, 10)
+    assert run_model(model, weights, x[:1]).shape == (1, 10)
+    with pytest.raises(ShapeError, match="^input must be a numpy array$"):
+        run_model(model, weights, x.tolist())
+    assert pools == [] and threading.active_count() == before
+    # a batch of two does split, so the counts above are not vacuous
+    assert run_model(model, weights, x).shape == (2, 10)
+    assert pools == [(1,)]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_slices_run_under_the_callers_error_settings(monkeypatch, cpus):
+    # the add doubles its input, which overflows float32 in the second
+    # image only: with two CPUs, only the worker thread's slice overflows
+    model = Model("double", (1, 1, 1), (add_layer((), ()),))
+    weights = init_model_weights(model, np.random.default_rng(28))
+    x = np.array([1.0, 3e38], np.float32).reshape(2, 1, 1, 1)
+    use_cpus(monkeypatch, cpus)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        run_model(model, weights, x)
+    calls = []
+    with np.errstate(over="call", call=lambda kind, flag: calls.append(kind)):
+        y = run_model(model, weights, x)
+    assert calls == ["overflow"] and y[0, 0, 0, 0] == 2 and np.isinf(y[1, 0, 0, 0])
 
 
 def dyadic_model_weights(layers, rng):
