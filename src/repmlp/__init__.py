@@ -60,7 +60,6 @@ from .verify import (
     build_grid,
     check_cell,
     format_config,
-    full_grid,
     parse_config,
     run_equivalence,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "format_config",
     "forward_infer",
     "forward_train",
-    "full_grid",
     "fuse_bn_into_conv",
     "grouped_fc",
     "init_model_weights",

@@ -240,15 +240,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # verify's pool raises BrokenProcessPool when a worker is killed, most
-        # often when memory runs out (the module is loaded once a pool ran)
-        from concurrent.futures import BrokenExecutor
-        if not isinstance(exc, BrokenExecutor):
-            raise
-        print(f"error: a verify worker process died (killed, or out of memory): {exc}",
-              file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -93,9 +93,15 @@ def parse_config(text: str) -> RepMLPConfig:
     return RepMLPConfig(**nums, branch_kernels=kernels, gp_internal_dim=gp)
 
 
-def full_grid() -> tuple[RepMLPConfig, ...]:
-    """Cross of channels x tile sizes x valid groups x partition counts,
-    with branch sets cycled deterministically across cells."""
+def build_grid(name: str) -> tuple[RepMLPConfig, ...]:
+    """The named grid. "full" is the cross of channels x tile sizes x valid
+    groups x partition counts, with branch sets cycled deterministically
+    across cells; "default" is every third cell of it, "quick" every 28th."""
+    # quick's step is coprime with the nine partition multipliers, which cycle
+    # innermost, so every multiplier and the global path are covered
+    step = {"full": 1, "default": 3, "quick": 28}.get(name)
+    if step is None:
+        raise ShapeError(f"unknown grid {name!r} (choose default, full, or quick)")
     cells = []
     index = 0
     for c in (2, 4, 8):
@@ -114,20 +120,7 @@ def full_grid() -> tuple[RepMLPConfig, ...]:
                                 part_h=h, part_w=w, groups=g,
                                 branch_kernels=ks))
                             index += 1
-    return tuple(cells)
-
-
-def build_grid(name: str) -> tuple[RepMLPConfig, ...]:
-    grid = full_grid()
-    if name == "full":
-        return grid
-    if name == "default":
-        return grid[::3]
-    if name == "quick":
-        # a step coprime with the nine partition multipliers, which cycle
-        # innermost, so every multiplier and the global path are covered
-        return grid[::28]
-    raise ShapeError(f"unknown grid {name!r} (choose default, full, or quick)")
+    return tuple(cells[::step])
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,9 @@ def check_cell(cfg: RepMLPConfig, base_seed: int, dtype, tolerance: float,
 
 def run_equivalence(configs, base_seed: int, precision: str, tolerance: float | None = None,
                     batch: int = 2) -> tuple[str, bool]:
-    """Run the grid and render the report. Returns (report text, all ok)."""
+    """Run the grid and render the report. Returns (report text, all ok).
+
+    A sweep worker that dies (killed, or out of memory) raises ChildProcessError."""
     if precision not in DTYPES:
         raise ShapeError(f"unknown precision {precision!r} (choose f32 or f64)")
     dtype = DTYPES[precision]
@@ -182,16 +177,21 @@ def run_equivalence(configs, base_seed: int, precision: str, tolerance: float | 
     else:
         # imported here: they add about 2 MB to every process, and most never fork
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         # fork, not spawn: a spawned worker imports numpy and repmlp afresh,
         # which took most of the default grid's gain, and reruns an unguarded
         # __main__. A dead worker raises BrokenProcessPool (multiprocessing.Pool
-        # would hang). The chunk size is Pool's default, four chunks per worker
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(check_cell, configs, repeat(base_seed), repeat(dtype),
-                                    repeat(tol), repeat(batch),
-                                    chunksize=math.ceil(len(configs) / (4 * workers))))
+        # would hang), re-raised as an OSError so callers need not know the pool.
+        # The chunk size is Pool's default, four chunks per worker
+        try:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(check_cell, configs, repeat(base_seed), repeat(dtype),
+                                        repeat(tol), repeat(batch),
+                                        chunksize=math.ceil(len(configs) / (4 * workers))))
+        except BrokenExecutor as exc:
+            raise ChildProcessError("a verify worker process died (killed, or out of "
+                                    f"memory): {exc}") from exc
 
     lines = [f"equivalence precision={precision} tol={tol:.3e} seed={base_seed} "
              f"batch={batch} configs={len(results)}"]

@@ -45,7 +45,7 @@ from repmlp.tensor import (
     conv2d,
     grouped_fc,
 )
-from repmlp.verify import build_grid, full_grid, run_equivalence
+from repmlp.verify import build_grid, run_equivalence
 
 
 def _report(ok: bool, name: str, detail: str) -> None:
@@ -250,7 +250,7 @@ def test_reference_model_totals():
 def test_conversion_reduces_flops():
     checked = 0
     regressions = 0
-    configs = list(full_grid())
+    configs = list(build_grid("full"))
     blockless = []
     for name, res in (("pure-mlp-cifar", 32), ("repmlp-res50", 224),
                       ("repmlp-res50-c4-r8", 224), ("repmlp-light-res50", 224)):

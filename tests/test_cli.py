@@ -8,6 +8,7 @@ import stat
 import struct
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,17 @@ def test_killed_worker_is_usage_error(monkeypatch, capfd):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1, err
     assert err.startswith("error: a verify worker process died"), err
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_raises_child_process_error(monkeypatch):
+    # an OSError, a family the library already raises, not a pool internal
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(repmlp.verify, "check_cell", check_cell_killed)
+    with pytest.raises(ChildProcessError, match=r"^a verify worker process died "
+                                                r"\(killed, or out of memory\): ") as info:
+        run_equivalence(build_grid("quick"), 1, "f32")
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
     assert multiprocessing.active_children() == []
 
 

@@ -11,6 +11,7 @@ from conftest import dyadic, dyadic_bn, dyadic_block_weights, fix_tile_sums, wal
 
 from repmlp.block import RepMLPConfig
 from repmlp.models import (
+    FLATTEN,
     MODEL_BUILDERS,
     RELU,
     LayerSpec,
@@ -35,7 +36,8 @@ from repmlp.models import (
     repmlp_layer,
     run_model,
 )
-from repmlp.tensor import ConvSpec, FcSpec, ShapeError
+from repmlp.tensor import ConvSpec, FcSpec, ShapeError, usable_cpus
+from repmlp.verify import build_grid, run_equivalence
 
 
 def shape_of(model):
@@ -331,6 +333,59 @@ def test_short_batches_and_non_arrays_run_in_line(monkeypatch):
     # a batch of two does split, so the counts above are not vacuous
     assert run_model(model, weights, x).shape == (2, 10)
     assert pools == [(1,)]
+
+
+def test_no_affinity_call_means_one_cpu_and_no_pools(monkeypatch):
+    # as on platforms without os.sched_getaffinity (macOS, Windows)
+    pools = []
+
+    def counting(base):
+        class CountingPool(base):
+            def __init__(self, *args, **kwargs):
+                pools.append(base.__name__)
+                super().__init__(*args, **kwargs)
+        return CountingPool
+
+    for name in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+        monkeypatch.setattr(concurrent.futures, name,
+                            counting(getattr(concurrent.futures, name)))
+    model = build_wide_convnet()
+    weights = init_model_weights(model, np.random.default_rng(28))
+    x = np.zeros((3,) + model.input_shape, np.float32)
+    grid = build_grid("quick")
+    # with two CPUs both build a pool, so the count below is not vacuous
+    use_cpus(monkeypatch, {0, 1})
+    run_model(model, weights, x)
+    run_equivalence(grid, 1, "f32")
+    assert pools == ["ThreadPoolExecutor", "ProcessPoolExecutor"]
+    pools.clear()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cpus() == 1
+    assert run_model(model, weights, x).shape == (3, 10)
+    report, ok = run_equivalence(grid, 1, "f32")
+    assert ok and "configs=64" in report
+    assert pools == []
+
+
+def test_weight_trees_that_miss_the_graph_are_refused(monkeypatch):
+    # a walk that stopped at the shorter of layers and weights would skip
+    # the layers or add branches past its end and return a wrong output
+    model = Model("mini", (2, 4, 4), (add_layer((conv_layer(2, 2, 1), RELU), ()),
+                                      pool_layer("max", 2, 2), FLATTEN, fc_layer(8, 3)))
+    weights = init_model_weights(model, np.random.default_rng(29))
+    (body, shortcut), *rest = weights
+    # short, long, a short add branch, an add branch missing
+    trees = (weights[:-1], weights + [None], [(body[:-1], shortcut)] + rest, [(body,)] + rest)
+    x = np.zeros((2,) + model.input_shape, np.float32)
+    for cpus in ({0}, {0, 1}):
+        use_cpus(monkeypatch, cpus)
+        assert run_model(model, weights, x).shape == (2, 3)
+        for tree in trees:
+            with pytest.raises(ValueError, match="is (shorter|longer) than"):
+                run_model(model, tree, x)
+    for tree in trees:
+        with pytest.raises(ValueError, match="is (shorter|longer) than"):
+            convert_model_weights(model, tree)
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])

@@ -3,7 +3,8 @@
 usage: python tools/compare_outputs.py OLD_TREE NEW_TREE
 
 Each tree is a checkout root (its library is imported from TREE/src, in a
-child process per tree). Compared artefacts, all from fixed seeds:
+child process per tree and BLAS setting). Compared artefacts, all from
+fixed seeds:
 
 * `repmlp verify --grid full` reports in f32 and f64;
 * train-form and deploy-form `run_model` outputs of pure-mlp-cifar and
@@ -32,10 +33,14 @@ child process per tree). Compared artefacts, all from fixed seeds:
   block (REAL_BLOCKS). Their window planes span several output-channel
   slabs at the default SLAB_BYTES, the last one ragged on light-c4.
 
-Prints one line per artefact with both trees' sha256; a differing .npy
+Both trees write their artefacts three times, with OPENBLAS_NUM_THREADS
+set to 1, set to 2 and unset in the child's environment, and each setting
+compares the trees' artefacts afresh. Under a header line per setting, it
+prints one line per artefact with both trees' sha256; a differing .npy
 array also gets its max relative difference, and a differing text report
-the number of its lines that differ. Exits 1 if any artefact differs.
-A full run takes about 20 s per tree on a 2-vCPU machine.
+the number of its lines that differ. Exits 1 if any artefact differs under
+any setting. A full run, six child processes, takes about 25 s on a
+2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -120,9 +125,13 @@ def write_artefacts(out: str) -> None:
             fh.write(fc3.kernel.tobytes() + fc3.bias.tobytes())
 
 
-def write_tree(tree: str, out: str) -> None:
-    """Write the artefacts of tree's library into out, in a child process."""
+def write_tree(tree: str, out: str, blas_threads: str | None) -> None:
+    """Write the artefacts of tree's library into out, in a child process
+    whose OPENBLAS_NUM_THREADS is blas_threads (None: removed)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     subprocess.run([sys.executable, os.path.abspath(__file__), "--write", out],
                    env=env, check=True)
 
@@ -158,25 +167,28 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
-        write_tree(argv[0], old_dir)
-        write_tree(argv[1], new_dir)
-        names = sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir)))
-        differ = []
-        for name in names:
-            old, new = os.path.join(old_dir, name), os.path.join(new_dir, name)
-            old_sha = sha256(old) if os.path.exists(old) else None
-            new_sha = sha256(new) if os.path.exists(new) else None
-            if old_sha == new_sha:
-                print(f"same   {name} old={old_sha} new={new_sha}")
-                continue
-            differ.append(name)
-            how = drift(old, new) if old_sha and new_sha else ""
-            print(f"DIFFER {name} old={old_sha} new={new_sha}{how}")
+    differ = []
+    for blas_threads in ("1", "2", None):
+        setting = f"OPENBLAS_NUM_THREADS={blas_threads or 'unset'}"
+        print(setting)
+        with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
+            write_tree(argv[0], old_dir, blas_threads)
+            write_tree(argv[1], new_dir, blas_threads)
+            names = sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir)))
+            for name in names:
+                old, new = os.path.join(old_dir, name), os.path.join(new_dir, name)
+                old_sha = sha256(old) if os.path.exists(old) else None
+                new_sha = sha256(new) if os.path.exists(new) else None
+                if old_sha == new_sha:
+                    print(f"same   {name} old={old_sha} new={new_sha}")
+                    continue
+                differ.append(f"{name} ({setting})")
+                how = drift(old, new) if old_sha and new_sha else ""
+                print(f"DIFFER {name} old={old_sha} new={new_sha}{how}")
     if differ:
-        print(f"{len(differ)} artefacts differ: {', '.join(differ)}")
+        print(f"{len(differ)} artefact comparisons differ: {', '.join(differ)}")
         return 1
-    print(f"all {len(names)} artefacts identical")
+    print(f"all {len(names)} artefacts identical under OPENBLAS_NUM_THREADS=1, 2 and unset")
     return 0
 
 
